@@ -137,6 +137,11 @@ pub mod names {
     pub const SERVE_CACHE_MISSES: &str = "logrel_serve_cache_misses_total";
     /// Jobs currently queued or running in the service (gauge).
     pub const SERVE_QUEUE_DEPTH: &str = "logrel_serve_queue_depth";
+    /// Compiled specs dropped from the service's bounded compile cache
+    /// to make room (least recently used first).
+    pub const SERVE_CACHE_EVICTIONS: &str = "logrel_serve_cache_evictions_total";
+    /// Specs currently held in the service's compile cache (gauge).
+    pub const SERVE_CACHE_ENTRIES: &str = "logrel_serve_cache_entries";
 }
 
 /// Buckets for the delivering-replicas-per-vote histogram.
@@ -326,6 +331,14 @@ pub const CATALOG: &[MetricDef] = &[
     gauge!(
         names::SERVE_QUEUE_DEPTH,
         "Jobs currently queued or running in the service"
+    ),
+    counter!(
+        names::SERVE_CACHE_EVICTIONS,
+        "Compiled specs evicted from the bounded compile cache"
+    ),
+    gauge!(
+        names::SERVE_CACHE_ENTRIES,
+        "Specs currently held in the compile cache"
     ),
 ];
 

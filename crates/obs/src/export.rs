@@ -389,6 +389,29 @@ mod tests {
     }
 
     #[test]
+    fn serve_cache_metrics_export_with_help_and_type_deterministically() {
+        let registry = || {
+            let mut r = Registry::new();
+            r.add(names::SERVE_CACHE_EVICTIONS, 2);
+            r.set_gauge(names::SERVE_CACHE_ENTRIES, 64.0);
+            r
+        };
+        let text = to_prometheus(&registry());
+        assert!(text.contains(
+            "# HELP logrel_serve_cache_evictions_total Compiled specs evicted from the bounded compile cache\n"
+        ));
+        assert!(text.contains("# TYPE logrel_serve_cache_evictions_total counter\n"));
+        assert!(text.contains("logrel_serve_cache_evictions_total 2\n"));
+        assert!(text.contains(
+            "# HELP logrel_serve_cache_entries Specs currently held in the compile cache\n"
+        ));
+        assert!(text.contains("# TYPE logrel_serve_cache_entries gauge\n"));
+        assert!(text.contains("logrel_serve_cache_entries 64\n"));
+        assert_eq!(text, to_prometheus(&registry()));
+        assert_eq!(to_json_line(&registry()), to_json_line(&registry()));
+    }
+
+    #[test]
     fn json_line_is_single_line_and_whitespace_equivalent_to_pretty() {
         let line = to_json_line(&sample());
         assert!(!line.contains('\n'), "line format must be newline-free");

@@ -51,6 +51,12 @@ pub struct AnalysisOutcome {
     pub stats: CacheStats,
     /// The database to persist, when the source at least parsed.
     pub db: Option<QueryDb>,
+    /// The system this run elaborated, so a caller that needs it (the
+    /// campaign service's compile) does not parse and elaborate again.
+    /// `None` when analysis never elaborated: the source failed to
+    /// elaborate, or it is digest-identical to the prior and every
+    /// query was green.
+    pub sys: Option<ElaboratedSystem>,
 }
 
 /// A whole-command result cached by the `--incremental` flags.
@@ -238,7 +244,7 @@ fn frontend_failure(
 ) -> AnalysisOutcome {
     let mut stderr = Diagnostic::from_lang_error(err).render(file);
     stderr.push('\n');
-    AnalysisOutcome { stdout: String::new(), stderr, errors: 1, stats, db }
+    AnalysisOutcome { stdout: String::new(), stderr, errors: 1, stats, db, sys: None }
 }
 
 /// Renders stored diagnostics into `stderr`, counting errors.
@@ -370,7 +376,7 @@ pub fn analyze_source(
             db.queries.insert(query.to_owned(), QueryEntry { dep, payload });
         }
     }
-    AnalysisOutcome { stdout, stderr, errors, stats, db: Some(db) }
+    AnalysisOutcome { stdout, stderr, errors, stats, db: Some(db), sys }
 }
 
 /// Assembles the report from payloads — the one code path shared by cold

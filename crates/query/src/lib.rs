@@ -112,6 +112,25 @@ program demo {
     }
 
     #[test]
+    fn outcome_carries_the_system_it_elaborated() {
+        // `ElaboratedSystem` has no `PartialEq`; its derived `Debug`
+        // rendering covers every field.
+        let expected = format!("{:?}", logrel_lang::compile(SRC).unwrap());
+        let cold = analyze_source(SRC, "a.htl", None, &mut NoopSink);
+        let sys = cold.sys.as_ref().expect("a cold run elaborates");
+        assert_eq!(format!("{sys:?}"), expected);
+        // A digest-identical, fully green rerun never elaborates.
+        let warm = analyze_source(SRC, "a.htl", cold.db.as_ref(), &mut NoopSink);
+        assert_eq!(warm.stats.hits, warm.stats.queries);
+        assert!(warm.sys.is_none());
+        // A source that fails to elaborate carries no system.
+        let broken = SRC.replace("ctrl -> h1;", "ctrl -> nowhere;");
+        let failed = analyze_source(&broken, "a.htl", None, &mut NoopSink);
+        assert!(failed.errors > 0);
+        assert!(failed.sys.is_none());
+    }
+
+    #[test]
     fn wcet_decrease_reuses_by_refinement_and_stays_byte_identical() {
         let cold = analyze_source(SRC, "a.htl", None, &mut NoopSink);
         let db = cold.db.unwrap();

@@ -6,14 +6,24 @@
 //! Jobs are keyed by the FNV-1a hash of the spec source. A miss runs the
 //! full front half once — incremental analysis ([`analyze_source`],
 //! warm-started from the service's [`SharedDb`] so a *resubmitted edited
-//! spec* reuses the refinement relation), elaboration, one
+//! spec* reuses the refinement relation, and handing back the system it
+//! elaborated so the spec is parsed and elaborated only once), one
 //! [`Simulation::try_new_observed`] (which compiles the calendar and
 //! round program and, under the `validate` feature, self-certifies the
 //! kernel) and the analytic SRG pass — and caches the result behind an
 //! `Arc`. A hit shares everything; the only per-job work left is the
-//! Monte-Carlo campaign itself. The cache lock is held across a compile,
-//! so concurrent submissions of the same new spec compile it exactly
-//! once (single-flight).
+//! Monte-Carlo campaign itself.
+//!
+//! The cache lock is held only to look a key up or insert it. Each key
+//! owns a single-flight slot: the first submitter compiles with the
+//! cache unlocked, concurrent submitters of the *same* spec block on
+//! that slot and share its result, and distinct specs compile in
+//! parallel. A failed compile is not cached, but every submitter that
+//! waited on it gets the same `S003` diagnosis.
+//!
+//! The cache holds at most [`COMPILE_CACHE_CAPACITY`] specs and evicts
+//! the least recently used one; a hit refreshes recency, so the case
+//! studies a fleet keeps resubmitting survive a burst of one-off edits.
 //!
 //! # Determinism
 //!
@@ -36,7 +46,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use logrel_core::{Architecture, Value};
 use logrel_lang::subspec::FnvWriter;
@@ -52,6 +62,13 @@ use logrel_sim::{
 };
 
 use crate::proto::{self, JobError};
+
+/// How many compiled specs the service keeps: the three case studies
+/// plus an edit session's worth of variants. An edit loop makes every
+/// job a new key, so without a bound the cache grows by one spec per
+/// edit. The bound is fixed rather than a knob because an evicted spec
+/// costs only one recompile, whose result is byte-identical.
+pub const COMPILE_CACHE_CAPACITY: usize = 64;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -119,6 +136,59 @@ struct CompiledSpec {
     analytic: Vec<Option<f64>>,
 }
 
+/// One spec's compile, in flight or finished. Every submitter of the
+/// spec shares the slot; exactly one of them runs the compile.
+type CompileSlot = Arc<OnceLock<Result<Arc<CompiledSpec>, JobError>>>;
+
+struct CacheEntry {
+    slot: CompileSlot,
+    last_used: u64,
+}
+
+/// The bounded compile cache: spec hash → compile slot, evicting the
+/// least recently used entry once [`COMPILE_CACHE_CAPACITY`] is reached.
+#[derive(Default)]
+struct CompileCache {
+    entries: HashMap<u64, CacheEntry>,
+    clock: u64,
+}
+
+impl CompileCache {
+    /// The slot for `key`, with its recency refreshed, or a new empty
+    /// slot inserted for it. The flag tells whether an entry was evicted
+    /// to make room.
+    fn slot(&mut self, key: u64) -> (CompileSlot, bool) {
+        self.clock += 1;
+        if let Some(entry) = self.entries.get_mut(&key) {
+            entry.last_used = self.clock;
+            return (Arc::clone(&entry.slot), false);
+        }
+        let evict = self.entries.len() >= COMPILE_CACHE_CAPACITY;
+        if evict {
+            // A linear scan: the capacity is small and this runs once
+            // per miss, next to a whole compile.
+            let lru = self
+                .entries
+                .iter()
+                .min_by_key(|(_, entry)| entry.last_used)
+                .map(|(&key, _)| key);
+            if let Some(lru) = lru {
+                self.entries.remove(&lru);
+            }
+        }
+        let slot = CompileSlot::default();
+        self.entries.insert(key, CacheEntry { slot: Arc::clone(&slot), last_used: self.clock });
+        (slot, evict)
+    }
+
+    /// Drops `key` if it still maps to `slot`.
+    fn forget(&mut self, key: u64, slot: &CompileSlot) {
+        if self.entries.get(&key).is_some_and(|entry| Arc::ptr_eq(&entry.slot, slot)) {
+            self.entries.remove(&key);
+        }
+    }
+}
+
 struct Symbols<'a>(&'a ElaboratedSystem);
 
 impl ScenarioSymbols for Symbols<'_> {
@@ -164,7 +234,7 @@ struct Inner {
     config: ServeConfig,
     queue: Mutex<WorkQueue>,
     work_cv: Condvar,
-    cache: Mutex<HashMap<u64, Arc<CompiledSpec>>>,
+    cache: Mutex<CompileCache>,
     db: SharedDb,
     metrics: Mutex<Registry>,
     active_jobs: AtomicUsize,
@@ -202,13 +272,17 @@ impl Engine {
         } else {
             config.workers
         };
+        // The cache's size metrics read from the first `op:stats` on.
+        let mut metrics = Registry::new();
+        metrics.add(names::SERVE_CACHE_EVICTIONS, 0);
+        metrics.set_gauge(names::SERVE_CACHE_ENTRIES, 0.0);
         let inner = Arc::new(Inner {
             config,
             queue: Mutex::new(WorkQueue { items: VecDeque::new(), stop: false }),
             work_cv: Condvar::new(),
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(CompileCache::default()),
             db,
-            metrics: Mutex::new(Registry::new()),
+            metrics: Mutex::new(metrics),
             active_jobs: AtomicUsize::new(0),
             accepting: AtomicBool::new(true),
             workers: Mutex::new(Vec::new()),
@@ -353,22 +427,50 @@ impl Engine {
         Ok(JobOutcome { metrics_line: to_json_line(&registry), cache_hit })
     }
 
-    /// The compiled form of `source`, from cache or compiled now.
+    /// The compiled form of `source`, from cache or compiled now, and
+    /// whether it was a cache hit.
     fn compiled(&self, source: &str, label: &str) -> Result<(Arc<CompiledSpec>, bool), JobError> {
         let inner = &*self.inner;
         let mut hasher = FnvWriter::new();
         hasher.write_bytes(source.as_bytes());
         let key = hasher.finish();
-        let mut cache = lock(&inner.cache);
-        if let Some(hit) = cache.get(&key) {
-            lock(&inner.metrics).inc(names::SERVE_CACHE_HITS);
-            return Ok((Arc::clone(hit), true));
+        let slot = {
+            let mut cache = lock(&inner.cache);
+            let (slot, evicted) = cache.slot(key);
+            let mut metrics = lock(&inner.metrics);
+            if evicted {
+                metrics.inc(names::SERVE_CACHE_EVICTIONS);
+            }
+            metrics.set_gauge(names::SERVE_CACHE_ENTRIES, cache.entries.len() as f64);
+            slot
+        };
+        // Single flight, with the cache unlocked: whoever reaches the
+        // slot first compiles, everyone else blocks here for its result.
+        let mut compiled_here = false;
+        let result = slot.get_or_init(|| {
+            compiled_here = true;
+            lock(&inner.metrics).inc(names::SERVE_CACHE_MISSES);
+            self.compile(source, label).map(Arc::new)
+        });
+        match result {
+            Ok(compiled) => {
+                if !compiled_here {
+                    lock(&inner.metrics).inc(names::SERVE_CACHE_HITS);
+                }
+                Ok((Arc::clone(compiled), !compiled_here))
+            }
+            Err(e) => {
+                if compiled_here {
+                    // Failures are not cached: the next submission
+                    // compiles afresh.
+                    let mut cache = lock(&inner.cache);
+                    cache.forget(key, &slot);
+                    lock(&inner.metrics)
+                        .set_gauge(names::SERVE_CACHE_ENTRIES, cache.entries.len() as f64);
+                }
+                Err(e.clone())
+            }
         }
-        lock(&inner.metrics).inc(names::SERVE_CACHE_MISSES);
-        let compiled = self.compile(source, label)?;
-        let compiled = Arc::new(compiled);
-        cache.insert(key, Arc::clone(&compiled));
-        Ok((compiled, false))
     }
 
     fn compile(&self, source: &str, label: &str) -> Result<CompiledSpec, JobError> {
@@ -378,7 +480,7 @@ impl Engine {
         // from whatever spec family this service has seen before.
         let prior = inner.db.snapshot();
         let mut query_metrics = Registry::new();
-        let outcome = analyze_source(source, label, prior.as_deref(), &mut query_metrics);
+        let mut outcome = analyze_source(source, label, prior.as_deref(), &mut query_metrics);
         lock(&inner.metrics).merge(query_metrics);
         if outcome.errors > 0 {
             return Err(compile_failed(format!(
@@ -387,7 +489,7 @@ impl Engine {
                 outcome.stderr.trim_end()
             )));
         }
-        if let Some(db) = outcome.db {
+        if let Some(db) = outcome.db.take() {
             if let Some(path) = &inner.config.cache_path {
                 // Atomic (write-temp-then-rename) persistence: concurrent
                 // compiles never expose a torn cache file.
@@ -395,7 +497,12 @@ impl Engine {
             }
             inner.db.install(db);
         }
-        let sys = logrel_lang::compile(source).map_err(|e| compile_failed(e.to_string()))?;
+        // Analysis already elaborated the spec, unless it was a
+        // digest-identical prior with every query green.
+        let sys = match outcome.sys {
+            Some(sys) => sys,
+            None => logrel_lang::compile(source).map_err(|e| compile_failed(e.to_string()))?,
+        };
         let analytic_report =
             logrel_reliability::compute_srgs(&sys.spec, &sys.arch, &sys.imp)
                 .map_err(|e| compile_failed(e.to_string()))?;
@@ -443,7 +550,8 @@ impl Engine {
     /// Empties the compilation cache and the analysis db (cold-start
     /// hook for benchmarks).
     pub fn clear_cache(&self) {
-        lock(&self.inner.cache).clear();
+        lock(&self.inner.cache).entries.clear();
+        lock(&self.inner.metrics).set_gauge(names::SERVE_CACHE_ENTRIES, 0.0);
         self.inner.db.clear();
     }
 

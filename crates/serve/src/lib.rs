@@ -9,13 +9,15 @@
 //! * [`proto`] — the line-delimited `logrel-job-v1` request /
 //!   `logrel-metrics-v1` result / `logrel-job-status-v1` status
 //!   protocol, with stable `S001`–`S005` rejection codes;
-//! * [`engine`] — a compilation cache keyed by spec content hash
-//!   (warm-started from the incremental analysis database, so edited
-//!   resubmissions reuse the refinement relation), a bounded admission
-//!   queue, and a worker pool that shards replications across jobs
-//!   while merging results in replication order;
+//! * [`engine`] — a bounded, per-spec single-flight compilation cache
+//!   keyed by spec content hash (warm-started from the incremental
+//!   analysis database, so edited resubmissions reuse the refinement
+//!   relation), a bounded admission queue, and a worker pool that
+//!   shards replications across jobs while merging results in
+//!   replication order;
 //! * [`server`] — a `--stdin` frontend for CI pipelines and a threaded
-//!   TCP frontend, plus the SIGTERM hook used for graceful drains.
+//!   TCP frontend that frame each request's responses identically, plus
+//!   the SIGTERM hook used for graceful drains.
 //!
 //! The service invariant worth stating twice: a served job's metrics
 //! line is **byte-identical at any worker count** and equal to a
@@ -27,6 +29,8 @@ pub mod engine;
 pub mod proto;
 pub mod server;
 
-pub use engine::{Engine, Job, JobOutcome, ServeConfig};
+pub use engine::{Engine, Job, JobOutcome, ServeConfig, COMPILE_CACHE_CAPACITY};
 pub use proto::{JobError, JobRequest, Request, Source};
-pub use server::{install_term_hook, process_line, serve_stdin, term_requested, Server};
+pub use server::{
+    install_term_hook, process_line, respond, serve_stdin, term_requested, Server,
+};

@@ -10,7 +10,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test"
+# The root manifest's `default-members` lists every workspace crate, so
+# this runs each crate's unit, integration and doc tests.
+echo "==> cargo test (every workspace crate)"
 cargo test -q
 
 echo "==> cargo test -p logrel-sim --features validate (kernel self-certification)"
@@ -20,7 +22,9 @@ echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+# Scoped to the root package, as before `default-members` widened the
+# bare command: the other crates' docs still carry broken intra-doc links.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p logrel
 
 HTLC=target/release/htlc
 

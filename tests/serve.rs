@@ -5,11 +5,15 @@
 //! library campaign pipeline run standalone, and the compilation cache
 //! changes cost (compile counts) but never results.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
 use logrel::obs::export::to_json_line;
 use logrel::obs::{names, MetricsSink, Registry};
-use logrel::serve::{proto, Engine, Job, JobOutcome, ServeConfig};
+use logrel::serve::{proto, Engine, Job, JobOutcome, ServeConfig, Server, COMPILE_CACHE_CAPACITY};
 use logrel::sim::montecarlo::{BatchConfig, ReplicationContext};
 use logrel::sim::{
     run_campaign_observed, BehaviorMap, CampaignConfig, ConstantEnvironment, LaneMode,
@@ -58,13 +62,13 @@ impl ScenarioSymbols for Symbols<'_> {
 /// inject --metrics` runs it, minus the wall-clock span gauges a
 /// service job never records.
 fn library_reference_line() -> String {
-    let source = std::fs::read_to_string(SPEC_PATH).unwrap();
-    let sys = logrel::lang::compile(&source).unwrap();
-    let scenario = Scenario::parse_with(
-        &std::fs::read_to_string(SCENARIO_PATH).unwrap(),
-        &Symbols(&sys),
-    )
-    .unwrap();
+    library_reference(&job())
+}
+
+/// [`library_reference_line`] for any job.
+fn library_reference(job: &Job) -> String {
+    let sys = logrel::lang::compile(&job.spec_source).unwrap();
+    let scenario = Scenario::parse_with(&job.scenario_source, &Symbols(&sys)).unwrap();
     let analytic_report =
         logrel::reliability::compute_srgs(&sys.spec, &sys.arch, &sys.imp).unwrap();
     let analytic: Vec<Option<f64>> = sys
@@ -76,17 +80,17 @@ fn library_reference_line() -> String {
     let sim = Simulation::try_new(&sys.spec, &sys.arch, &td).unwrap();
     let config = CampaignConfig {
         batch: BatchConfig {
-            replications: REPS,
-            rounds: ROUNDS,
-            base_seed: SEED,
+            replications: job.replications,
+            rounds: job.rounds,
+            base_seed: job.seed,
             threads: 0,
         },
         monitor: MonitorConfig::default(),
-        lanes: LaneMode::Auto,
+        lanes: job.lanes,
     };
     let mut registry = Registry::with_recorder(256);
-    registry.set_gauge(names::BITSLICE_LANES, LaneMode::Auto.width() as f64);
-    registry.set_gauge(names::CAMPAIGN_SEED, SEED as f64);
+    registry.set_gauge(names::BITSLICE_LANES, job.lanes.width() as f64);
+    registry.set_gauge(names::CAMPAIGN_SEED, job.seed as f64);
     let setup = |_rep: u64| ReplicationContext {
         behaviors: BehaviorMap::new(),
         environment: Box::new(ConstantEnvironment::new(logrel::core::Value::Float(1.0))),
@@ -297,4 +301,194 @@ fn engines_sharing_a_cache_file_never_tear_it() {
         engine.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The base job with its program renamed: a distinct spec (a distinct
+/// cache key) that compiles and runs exactly like the original.
+fn renamed(name: &str) -> Job {
+    let mut job = Job { rounds: 20, replications: 1, ..job() };
+    job.spec_source = job
+        .spec_source
+        .replace("program infusion_pump", &format!("program {name}"));
+    job
+}
+
+#[test]
+fn concurrent_submissions_of_one_new_spec_compile_it_once() {
+    let engine = engine(2, 8);
+    let barrier = Barrier::new(4);
+    let lines: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    submit_ok(&engine, &job()).metrics_line
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(engine.counter(names::SERVE_CACHE_MISSES), 1, "single flight");
+    assert_eq!(engine.counter(names::SERVE_CACHE_HITS), 3);
+    assert!(lines.iter().all(|line| *line == lines[0]));
+    assert_eq!(lines[0], library_reference_line());
+    engine.shutdown();
+}
+
+#[test]
+fn distinct_specs_compiled_concurrently_match_their_sequential_references() {
+    let read = |path: &str| std::fs::read_to_string(path).unwrap();
+    let spec_job = |spec: &str, scenario: String| Job {
+        spec_source: read(spec),
+        spec_label: spec.to_owned(),
+        scenario_source: scenario,
+        rounds: 200,
+        replications: 6,
+        seed: 17,
+        lanes: LaneMode::Auto,
+    };
+    let mut variant = renamed("pump_variant");
+    variant.scenario_source = read("examples/scenarios/partition.scn");
+    let jobs = [
+        job(),
+        spec_job(
+            "assets/three_tank.htl",
+            "flaky host=h2 from=0 until=50000 up=0.9\n".to_owned(),
+        ),
+        spec_job("assets/steer_by_wire.htl", read("examples/scenarios/steer_monitor_miss.scn")),
+        variant,
+    ];
+    let engine = engine(2, 8);
+    let barrier = Barrier::new(jobs.len());
+    let served: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .iter()
+            .map(|job| {
+                let (engine, barrier) = (&engine, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    submit_ok(engine, job).metrics_line
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(engine.counter(names::SERVE_CACHE_MISSES), 4);
+    for (job, line) in jobs.iter().zip(&served) {
+        assert_eq!(*line, library_reference(job), "{}", job.spec_label);
+    }
+    engine.shutdown();
+}
+
+#[test]
+fn an_evicted_spec_recompiles_to_a_byte_identical_line() {
+    let engine = engine(2, 4);
+    let first = renamed("pump_first");
+    let before = submit_ok(&engine, &first);
+    assert!(!before.cache_hit);
+    for i in 0..COMPILE_CACHE_CAPACITY {
+        submit_ok(&engine, &renamed(&format!("pump_fill_{i}")));
+    }
+    let cap = COMPILE_CACHE_CAPACITY as u64;
+    assert_eq!(engine.counter(names::SERVE_CACHE_MISSES), cap + 1);
+    assert_eq!(engine.counter(names::SERVE_CACHE_EVICTIONS), 1);
+    assert_eq!(engine.gauge(names::SERVE_CACHE_ENTRIES), Some(cap as f64));
+    // The first spec was the least recently used: it was evicted and
+    // compiles again, to the same bytes.
+    let after = submit_ok(&engine, &first);
+    assert!(!after.cache_hit);
+    assert_eq!(engine.counter(names::SERVE_CACHE_MISSES), cap + 2);
+    assert_eq!(after.metrics_line, before.metrics_line);
+    assert_eq!(engine.gauge(names::SERVE_CACHE_ENTRIES), Some(cap as f64));
+    engine.shutdown();
+}
+
+#[test]
+fn a_spec_hit_between_inserts_survives_eviction() {
+    let engine = engine(2, 4);
+    let hot = renamed("pump_hot");
+    submit_ok(&engine, &hot);
+    // Fill the cache exactly: `hot` plus capacity − 1 others.
+    for i in 1..COMPILE_CACHE_CAPACITY {
+        submit_ok(&engine, &renamed(&format!("pump_cold_{i}")));
+    }
+    assert_eq!(engine.counter(names::SERVE_CACHE_EVICTIONS), 0);
+    assert!(submit_ok(&engine, &hot).cache_hit, "a hit refreshes recency");
+    // One more spec evicts the least recently used one: `pump_cold_1`.
+    submit_ok(&engine, &renamed("pump_overflow"));
+    assert_eq!(engine.counter(names::SERVE_CACHE_EVICTIONS), 1);
+    let misses = engine.counter(names::SERVE_CACHE_MISSES);
+    assert!(submit_ok(&engine, &hot).cache_hit, "the hot spec survived");
+    assert!(submit_ok(&engine, &renamed("pump_cold_2")).cache_hit);
+    assert_eq!(engine.counter(names::SERVE_CACHE_MISSES), misses);
+    assert!(!submit_ok(&engine, &renamed("pump_cold_1")).cache_hit);
+    engine.shutdown();
+}
+
+#[test]
+fn concurrent_submissions_of_a_broken_spec_share_one_s003() {
+    let engine = engine(2, 8);
+    let broken = Job {
+        spec_source: job().spec_source.replace("map {", "mapp {"),
+        ..job()
+    };
+    let barrier = Barrier::new(2);
+    let errors: Vec<proto::JobError> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    engine.submit(&broken).expect_err("the spec does not parse")
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(errors[0].code, proto::S_COMPILE);
+    assert_eq!(errors[0], errors[1], "every waiter gets the same diagnosis");
+    // Failures are not cached; the service carries on.
+    assert_eq!(engine.gauge(names::SERVE_CACHE_ENTRIES), Some(0.0));
+    let out = submit_ok(&engine, &job());
+    assert!(!out.cache_hit);
+    assert_eq!(engine.counter(names::SERVE_JOBS_REJECTED), 2);
+    engine.shutdown();
+}
+
+/// A request's response lines must leave in one write. When a line and
+/// its newline went out as two writes, Nagle's algorithm held the
+/// newline until the client's delayed ACK, a fixed ~40 ms on every
+/// response; the job itself takes about a millisecond.
+#[test]
+fn warm_jobs_over_tcp_return_without_a_delayed_ack_stall() {
+    let server = Server::start(engine(2, 4), "127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let line = format!(
+        r#"{{"schema":"logrel-job-v1","id":"warm","spec_path":"{SPEC_PATH}","scenario_path":"{SCENARIO_PATH}","rounds":1,"replications":1,"seed":3}}"#
+    );
+    let mut round_trip = |response: &mut Vec<u8>| {
+        response.clear();
+        let start = Instant::now();
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        for _ in 0..2 {
+            reader.read_until(b'\n', response).unwrap();
+        }
+        start.elapsed()
+    };
+    let mut response = Vec::new();
+    round_trip(&mut response); // compiles the spec
+    let mut times: Vec<Duration> = (0..21).map(|_| round_trip(&mut response)).collect();
+    times.sort();
+    assert!(
+        times[10] < Duration::from_millis(20),
+        "median warm round trip {:?} (all: {times:?})",
+        times[10]
+    );
+    // The socket's bytes are the bytes the stdin frontend writes.
+    let mut piped = Vec::new();
+    logrel::serve::respond(server.engine(), &line, &mut piped).unwrap();
+    assert_eq!(String::from_utf8(piped).unwrap(), String::from_utf8(response).unwrap());
+    drop(writer);
+    server.shutdown();
 }
