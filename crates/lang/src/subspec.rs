@@ -29,12 +29,9 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// `logrel-validate`).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut w = FnvWriter::new();
+    w.write_bytes(bytes);
+    w.finish()
 }
 
 /// Streams formatted text straight into an FNV-1a 64 state: hashing a

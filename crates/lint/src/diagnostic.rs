@@ -12,6 +12,7 @@
 
 use logrel_lang::token::Span;
 use logrel_lang::LangError;
+pub use logrel_obs::export::json_escape;
 use std::fmt;
 
 /// How serious a finding is.
@@ -172,27 +173,6 @@ pub fn deny_warnings(diags: &mut [Diagnostic]) {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-///
-/// Hand-rolled (the workspace deliberately carries no serde) but complete:
-/// quotes, backslashes and all control characters are escaped, so any
-/// diagnostic message round-trips through strict parsers.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Diagnostic {
     /// The diagnostic as a single-line JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
@@ -304,14 +284,6 @@ mod tests {
         sort_diagnostics(&mut diags);
         assert_eq!(diags.len(), 2);
         assert_eq!(diags[0].span.line, 2);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(json_escape("x\ny\t"), "x\\ny\\t");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
     }
 
     #[test]

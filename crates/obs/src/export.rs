@@ -92,7 +92,14 @@ pub fn to_prometheus(reg: &Registry) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal.
+///
+/// Hand-rolled (the workspace deliberately carries no serde) but complete:
+/// quotes, backslashes and all control characters are escaped, so any
+/// string round-trips through strict parsers. Every JSON document the
+/// workspace writes (`logrel-metrics-v1`, `logrel-diagnostics-v1`,
+/// `logrel-certificate-v1` and the job-service lines) escapes through it.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -339,6 +346,14 @@ mod tests {
     use crate::catalog::names;
     use crate::metrics::MetricsSink;
     use crate::recorder::VoteOutcome;
+
+    #[test]
+    fn json_escape_handles_specials() {
+        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
+        assert_eq!(json_escape("x\ny\t"), "x\\ny\\t");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("plain"), "plain");
+    }
 
     fn sample() -> Registry {
         let mut r = Registry::with_recorder(8);

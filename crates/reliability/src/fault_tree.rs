@@ -8,7 +8,7 @@
 //! top event).
 
 use crate::error::ReliabilityError;
-use crate::rbd::Block;
+use crate::rbd::{at_least, Block};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -102,19 +102,7 @@ impl Gate {
                     .map(|c| 1.0 - c.probability())
                     .product::<f64>()
             }
-            Gate::Vote { k, children } => {
-                let mut dist = vec![1.0_f64];
-                for c in children {
-                    let p = c.probability();
-                    let mut next = vec![0.0; dist.len() + 1];
-                    for (j, &q) in dist.iter().enumerate() {
-                        next[j] += q * (1.0 - p);
-                        next[j + 1] += q * p;
-                    }
-                    dist = next;
-                }
-                dist.iter().skip(*k).sum()
-            }
+            Gate::Vote { k, children } => at_least(*k, children.iter().map(Gate::probability)),
         }
     }
 

@@ -30,40 +30,6 @@ pub struct ComponentImportance {
     pub improvement: f64,
 }
 
-/// Evaluates `block` with the named components in `overrides` pinned to
-/// the given working probabilities.
-fn probability_with(block: &Block, overrides: &BTreeMap<&str, f64>) -> f64 {
-    match block {
-        Block::Unit { name, reliability } => name
-            .as_deref()
-            .and_then(|n| overrides.get(n).copied())
-            .unwrap_or_else(|| reliability.get()),
-        Block::Series(children) => children
-            .iter()
-            .map(|c| probability_with(c, overrides))
-            .product(),
-        Block::Parallel(children) => {
-            1.0 - children
-                .iter()
-                .map(|c| 1.0 - probability_with(c, overrides))
-                .product::<f64>()
-        }
-        Block::KOfN { k, children } => {
-            let mut dist = vec![1.0_f64];
-            for c in children {
-                let p = probability_with(c, overrides);
-                let mut next = vec![0.0; dist.len() + 1];
-                for (j, &q) in dist.iter().enumerate() {
-                    next[j] += q * (1.0 - p);
-                    next[j + 1] += q * p;
-                }
-                dist = next;
-            }
-            dist.iter().skip(*k).sum()
-        }
-    }
-}
-
 fn collect_names<'b>(block: &'b Block, out: &mut BTreeSet<&'b str>) {
     match block {
         Block::Unit { name, .. } => {
@@ -106,7 +72,7 @@ fn collect_names<'b>(block: &'b Block, out: &mut BTreeSet<&'b str>) {
 pub fn block_importance(block: &Block) -> Vec<ComponentImportance> {
     let mut names = BTreeSet::new();
     collect_names(block, &mut names);
-    let base = probability_with(block, &BTreeMap::new());
+    let base = block.probability();
     let mut out: Vec<ComponentImportance> = names
         .into_iter()
         .map(|name| {
@@ -114,8 +80,8 @@ pub fn block_importance(block: &Block) -> Vec<ComponentImportance> {
             up.insert(name, 1.0);
             let mut down = BTreeMap::new();
             down.insert(name, 0.0);
-            let r_up = probability_with(block, &up);
-            let r_down = probability_with(block, &down);
+            let r_up = block.probability_with(&up);
+            let r_down = block.probability_with(&down);
             ComponentImportance {
                 name: name.to_owned(),
                 birnbaum: r_up - r_down,

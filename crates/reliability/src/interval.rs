@@ -2,13 +2,15 @@
 //!
 //! [`crate::srg::compute_srgs`] evaluates the §3 induction in point `f64`
 //! arithmetic, so the Proposition 1 check `λ_c ≥ µ_c` is a rounding error
-//! away from certifying an unreliable spec. This module re-runs the same
-//! induction over [`Interval`]s whose endpoints are widened *outward* after
-//! every floating-point operation: IEEE-754 round-to-nearest is off by at
-//! most half an ulp, so stepping one ulp down on the lower endpoint and one
-//! ulp up on the upper endpoint after each multiplication/complement keeps
-//! the true real-arithmetic value — and, by monotonicity of rounding, every
-//! faithfully computed point value — inside the enclosure.
+//! away from certifying an unreliable spec. This module supplies the
+//! interval domain of the same induction (the shared walk in
+//! [`crate::srg`]): its values are [`Interval`]s whose endpoints are
+//! widened *outward* after every floating-point operation. IEEE-754
+//! round-to-nearest is off by at most half an ulp, so stepping one ulp
+//! down on the lower endpoint and one ulp up on the upper endpoint after
+//! each multiplication/complement keeps the true real-arithmetic value —
+//! and, by monotonicity of rounding, every faithfully computed point
+//! value — inside the enclosure.
 //!
 //! Because the whole induction is monotone nondecreasing in every host,
 //! sensor and broadcast reliability, endpoint propagation is exact at the
@@ -25,11 +27,11 @@
 //! because the enclosure already absorbs all rounding slop soundly.
 
 use crate::error::ReliabilityError;
-use crate::srg::analysis_order;
+use crate::srg::{induction, SrgDomain, Srgs};
 use logrel_core::{
-    Architecture, CommunicatorId, CoreError, FailureModel, HostId, Implementation, SensorId,
-    Specification, TaskId,
+    Architecture, CoreError, HostId, Implementation, SensorId, Specification, TaskId,
 };
+use std::borrow::Cow;
 use std::fmt;
 
 /// Rounds a lower endpoint outward (towards `0`) by one ulp.
@@ -241,31 +243,39 @@ impl fmt::Display for CertStatus {
 }
 
 /// Sound enclosures of every task reliability and communicator SRG.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalSrgReport {
-    task: Vec<Interval>,
-    comm: Vec<Interval>,
+pub type IntervalSrgReport = Srgs<Interval>;
+
+/// The interval domain: every host and sensor reliability `r` enters the
+/// induction as the box `[r − δ, r]`, a point when `δ = 0`.
+struct Enclosure<'a> {
+    arch: &'a Architecture,
+    delta: f64,
 }
 
-impl IntervalSrgReport {
-    /// The enclosure of `λ_t`.
-    pub fn task(&self, t: TaskId) -> Interval {
-        self.task[t.index()]
+impl SrgDomain for Enclosure<'_> {
+    type Value = Interval;
+
+    fn replica(&self, _: TaskId, h: HostId) -> Result<Interval, ReliabilityError> {
+        let host = Interval::degraded(self.arch.host(h).reliability().get(), self.delta);
+        Ok(host * Interval::point(self.arch.broadcast_reliability().get()))
     }
 
-    /// The enclosure of `λ_c`.
-    pub fn communicator(&self, c: CommunicatorId) -> Interval {
-        self.comm[c.index()]
+    fn sensor(&self, s: SensorId) -> Interval {
+        Interval::degraded(self.arch.sensor(s).reliability().get(), self.delta)
     }
 
-    /// All communicator enclosures in declaration order.
-    pub fn communicators(&self) -> &[Interval] {
-        &self.comm
+    fn series<'v>(
+        &self,
+        items: impl IntoIterator<Item = Cow<'v, Interval>>,
+    ) -> Result<Interval, ReliabilityError> {
+        Ok(Interval::series(items.into_iter().map(|i| *i)))
     }
 
-    /// All task enclosures in declaration order.
-    pub fn tasks(&self) -> &[Interval] {
-        &self.task
+    fn parallel<'v>(
+        &self,
+        items: impl IntoIterator<Item = Cow<'v, Interval>>,
+    ) -> Result<Interval, ReliabilityError> {
+        Ok(Interval::parallel(items.into_iter().map(|i| *i))?)
     }
 }
 
@@ -281,7 +291,7 @@ pub fn compute_interval_srgs(
     arch: &Architecture,
     imp: &Implementation,
 ) -> Result<IntervalSrgReport, ReliabilityError> {
-    interval_srgs_with(spec, arch, imp, Interval::point, Interval::point)
+    compute_degraded_srgs(spec, arch, imp, 0.0)
 }
 
 /// Robust variant: every host and sensor reliability `r` is replaced by
@@ -300,81 +310,7 @@ pub fn compute_degraded_srgs(
     imp: &Implementation,
     delta: f64,
 ) -> Result<IntervalSrgReport, ReliabilityError> {
-    interval_srgs_with(
-        spec,
-        arch,
-        imp,
-        move |r| Interval::degraded(r, delta),
-        move |r| Interval::degraded(r, delta),
-    )
-}
-
-/// The shared interval induction, parameterised over how a declared host /
-/// sensor reliability becomes an input enclosure.
-pub fn interval_srgs_with(
-    spec: &Specification,
-    arch: &Architecture,
-    imp: &Implementation,
-    host_box: impl Fn(f64) -> Interval,
-    sensor_box: impl Fn(f64) -> Interval,
-) -> Result<IntervalSrgReport, ReliabilityError> {
-    let brel = Interval::point(arch.broadcast_reliability().get());
-    let mut task = Vec::with_capacity(spec.task_count());
-    for t in spec.task_ids() {
-        let replicas: Vec<Interval> = imp
-            .hosts_of(t)
-            .iter()
-            .map(|&h: &HostId| host_box(arch.host(h).reliability().get()) * brel)
-            .collect();
-        task.push(Interval::parallel(replicas).map_err(ReliabilityError::Core)?);
-    }
-    let order = analysis_order(spec)?;
-    let mut comm: Vec<Option<Interval>> = vec![None; spec.communicator_count()];
-    for &c in &order {
-        let lambda = if spec.is_sensor_input(c) {
-            let sensors = imp.sensors_of(c);
-            if sensors.is_empty() {
-                return Err(ReliabilityError::UnboundInput {
-                    communicator: spec.communicator(c).name().to_owned(),
-                });
-            }
-            Interval::parallel(
-                sensors
-                    .iter()
-                    .map(|&s: &SensorId| sensor_box(arch.sensor(s).reliability().get())),
-            )
-            .map_err(ReliabilityError::Core)?
-        } else if let Some(t) = spec.writer(c) {
-            let lt = task[t.index()];
-            match spec.task(t).failure_model() {
-                FailureModel::Independent => lt,
-                FailureModel::Series => {
-                    let inputs = spec
-                        .task(t)
-                        .input_comm_set()
-                        .into_iter()
-                        .map(|c2| comm[c2.index()].expect("topological order"));
-                    Interval::series(std::iter::once(lt).chain(inputs))
-                }
-                FailureModel::Parallel => {
-                    let inputs = spec
-                        .task(t)
-                        .input_comm_set()
-                        .into_iter()
-                        .map(|c2| comm[c2.index()].expect("topological order"));
-                    let any_input = Interval::parallel(inputs).map_err(ReliabilityError::Core)?;
-                    Interval::series([lt, any_input])
-                }
-            }
-        } else {
-            Interval::point(1.0)
-        };
-        comm[c.index()] = Some(lambda);
-    }
-    Ok(IntervalSrgReport {
-        task,
-        comm: comm.into_iter().map(|r| r.expect("all computed")).collect(),
-    })
+    induction(&Enclosure { arch, delta }, spec, imp)
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 
 use crate::error::ReliabilityError;
 use logrel_core::Reliability;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A node of a reliability block diagram.
@@ -106,29 +107,29 @@ impl Block {
     /// The probability that the block works, assuming all units fail
     /// independently.
     pub fn probability(&self) -> f64 {
+        self.probability_with(&BTreeMap::new())
+    }
+
+    /// [`Block::probability`] with the named units in `pinned` held at the
+    /// given working probabilities (all units of one name together).
+    pub(crate) fn probability_with(&self, pinned: &BTreeMap<&str, f64>) -> f64 {
         match self {
-            Block::Unit { reliability, .. } => reliability.get(),
-            Block::Series(children) => children.iter().map(Block::probability).product(),
+            Block::Unit { name, reliability } => name
+                .as_deref()
+                .and_then(|n| pinned.get(n).copied())
+                .unwrap_or_else(|| reliability.get()),
+            Block::Series(children) => children
+                .iter()
+                .map(|c| c.probability_with(pinned))
+                .product(),
             Block::Parallel(children) => {
                 1.0 - children
                     .iter()
-                    .map(|c| 1.0 - c.probability())
+                    .map(|c| 1.0 - c.probability_with(pinned))
                     .product::<f64>()
             }
             Block::KOfN { k, children } => {
-                // DP over "probability that exactly j of the first i
-                // children work".
-                let mut dist = vec![1.0_f64];
-                for c in children {
-                    let p = c.probability();
-                    let mut next = vec![0.0; dist.len() + 1];
-                    for (j, &q) in dist.iter().enumerate() {
-                        next[j] += q * (1.0 - p);
-                        next[j + 1] += q * p;
-                    }
-                    dist = next;
-                }
-                dist.iter().skip(*k).sum()
+                at_least(*k, children.iter().map(|c| c.probability_with(pinned)))
             }
         }
     }
@@ -247,6 +248,21 @@ impl fmt::Display for Block {
             }
         }
     }
+}
+
+/// The probability that at least `k` of independent events with the given
+/// probabilities occur, by a DP over "exactly j of the first i occur".
+pub(crate) fn at_least(k: usize, probabilities: impl IntoIterator<Item = f64>) -> f64 {
+    let mut dist = vec![1.0_f64];
+    for p in probabilities {
+        let mut next = vec![0.0; dist.len() + 1];
+        for (j, &q) in dist.iter().enumerate() {
+            next[j] += q * (1.0 - p);
+            next[j + 1] += q * p;
+        }
+        dist = next;
+    }
+    dist.iter().skip(k).sum()
 }
 
 #[cfg(test)]

@@ -22,44 +22,65 @@
 //! folded in by derating each replication: a replication contributes only
 //! if its host works *and* its broadcast is delivered, so the effective
 //! per-replication reliability is `hrel(h) · brel`.
+//!
+//! The induction is written once, generic over a value domain: the
+//! domain supplies the leaves (a replica `t@h`, a sensor, a constant
+//! communicator) and the `series`/`parallel` combinators; this module
+//! supplies the induction step, with the failure-model rule and the
+//! checks on the implementation, and the analysis order. Four domains
+//! run it: points here ([`compute_srgs`]), RBD blocks here
+//! ([`communicator_block`]), sound intervals in [`crate::interval`] and
+//! polynomials in [`crate::symbolic`]. The reports compute each SRG once,
+//! in analysis order; an RBD is the same steps unfolded into a tree from
+//! one communicator, so an input read along several paths appears once
+//! per path.
 
 use crate::error::ReliabilityError;
 use crate::rbd::Block;
+use crate::symbolic::Sym;
 use logrel_core::graph::CommDependencyGraph;
 use logrel_core::{
-    Architecture, CommunicatorId, FailureModel, Implementation, Reliability, Specification, TaskId,
+    Architecture, CommunicatorId, CoreError, FailureModel, HostId, Implementation, Reliability,
+    SensorId, Specification, TaskId,
 };
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// The computed SRGs of every task and communicator of a system.
+/// The reliability of every task and the SRG of every communicator of a
+/// system, in one value domain of the induction.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SrgReport {
-    task: Vec<Reliability>,
-    comm: Vec<Reliability>,
+pub struct Srgs<V> {
+    pub(crate) task: Vec<V>,
+    pub(crate) comm: Vec<V>,
 }
 
-impl SrgReport {
+/// The point SRGs of [`compute_srgs`].
+pub type SrgReport = Srgs<Reliability>;
+
+impl<V: Copy> Srgs<V> {
     /// The reliability λ_t of task `t` under the analysed implementation.
-    pub fn task(&self, t: TaskId) -> Reliability {
+    pub fn task(&self, t: TaskId) -> V {
         self.task[t.index()]
     }
 
     /// The SRG λ_c of communicator `c`.
-    pub fn communicator(&self, c: CommunicatorId) -> Reliability {
+    pub fn communicator(&self, c: CommunicatorId) -> V {
         self.comm[c.index()]
     }
 
     /// All communicator SRGs in declaration order.
-    pub fn communicators(&self) -> &[Reliability] {
+    pub fn communicators(&self) -> &[V] {
         &self.comm
     }
 
     /// All task reliabilities in declaration order.
-    pub fn tasks(&self) -> &[Reliability] {
+    pub fn tasks(&self) -> &[V] {
         &self.task
     }
+}
 
+impl SrgReport {
     /// Renders a human-readable table using the names from `spec`.
     pub fn render(&self, spec: &Specification) -> String {
         let mut out = String::new();
@@ -96,6 +117,243 @@ impl fmt::Display for SrgReport {
     }
 }
 
+/// A value domain of the §3 induction: its leaves and its two
+/// combinators, each with the domain's own rounding and errors. The
+/// combinators take their operands as [`Cow`]s so a domain whose values
+/// are expensive to copy can borrow the ones the walk already holds.
+pub(crate) trait SrgDomain {
+    /// What a reliability is in this domain.
+    type Value: Clone + 'static;
+
+    /// The replica of task `t` on host `h`.
+    fn replica(&self, t: TaskId, h: HostId) -> Result<Self::Value, ReliabilityError>;
+
+    /// Sensor `s`.
+    fn sensor(&self, s: SensorId) -> Self::Value;
+
+    /// Communicator `c`, which neither a task nor a sensor updates: it
+    /// holds its (reliable) initial value forever, like an empty series.
+    fn constant(&self, _c: CommunicatorId) -> Result<Self::Value, ReliabilityError> {
+        self.series([])
+    }
+
+    /// Every operand must be reliable.
+    fn series<'v>(
+        &self,
+        items: impl IntoIterator<Item = Cow<'v, Self::Value>>,
+    ) -> Result<Self::Value, ReliabilityError>;
+
+    /// At least one operand must be reliable.
+    fn parallel<'v>(
+        &self,
+        items: impl IntoIterator<Item = Cow<'v, Self::Value>>,
+    ) -> Result<Self::Value, ReliabilityError>;
+}
+
+/// `λ_t` in domain `d`: the parallel block of `t`'s replicas.
+fn task_value<D: SrgDomain>(
+    d: &D,
+    imp: &Implementation,
+    t: TaskId,
+) -> Result<D::Value, ReliabilityError> {
+    let hosts = imp.hosts_of(t);
+    if hosts.is_empty() {
+        // An empty parallel block never works, which is outside (0, 1].
+        return Err(CoreError::InvalidReliability { value: 0.0 }.into());
+    }
+    let replicas = hosts
+        .iter()
+        .map(|&h| d.replica(t, h).map(Cow::Owned))
+        .collect::<Result<Vec<_>, _>>()?;
+    d.parallel(replicas)
+}
+
+/// The SRG of sensor-input communicator `c` in domain `d`: the parallel
+/// block of its bound sensors.
+fn sensor_value<D: SrgDomain>(
+    d: &D,
+    spec: &Specification,
+    imp: &Implementation,
+    c: CommunicatorId,
+) -> Result<D::Value, ReliabilityError> {
+    let sensors = imp.sensors_of(c);
+    if sensors.is_empty() {
+        return Err(ReliabilityError::UnboundInput {
+            communicator: spec.communicator(c).name().to_owned(),
+        });
+    }
+    d.parallel(sensors.iter().map(|&s| Cow::Owned(d.sensor(s))))
+}
+
+/// The §3 induction step in domain `d`: `λ_c` from the `λ_t` of `c`'s
+/// writer and the SRGs of that task's inputs, which `task` and `inputs`
+/// supply on demand (inputs only under the series and parallel models).
+/// This is the one place the failure-model rule is written.
+fn comm_value<'v, D: SrgDomain, I: IntoIterator<Item = Cow<'v, D::Value>>>(
+    d: &D,
+    spec: &Specification,
+    imp: &Implementation,
+    c: CommunicatorId,
+    task: impl FnOnce(TaskId) -> Result<Cow<'v, D::Value>, ReliabilityError>,
+    inputs: impl FnOnce(BTreeSet<CommunicatorId>) -> Result<I, ReliabilityError>,
+) -> Result<D::Value, ReliabilityError> {
+    if spec.is_sensor_input(c) {
+        return sensor_value(d, spec, imp, c);
+    }
+    let Some(t) = spec.writer(c) else {
+        return d.constant(c);
+    };
+    let lt = task(t)?;
+    match spec.task(t).failure_model() {
+        FailureModel::Independent => Ok(lt.into_owned()),
+        FailureModel::Series => {
+            d.series(std::iter::once(lt).chain(inputs(spec.task(t).input_comm_set())?))
+        }
+        FailureModel::Parallel => {
+            let any_input = d.parallel(inputs(spec.task(t).input_comm_set())?)?;
+            d.series([lt, Cow::Owned(any_input)])
+        }
+    }
+}
+
+/// The whole induction in domain `d`.
+pub(crate) fn induction<D: SrgDomain>(
+    d: &D,
+    spec: &Specification,
+    imp: &Implementation,
+) -> Result<Srgs<D::Value>, ReliabilityError> {
+    let mut task = Vec::with_capacity(spec.task_count());
+    for t in spec.task_ids() {
+        task.push(task_value(d, imp, t)?);
+    }
+    let comm = vec![None; spec.communicator_count()];
+    complete(d, spec, imp, &analysis_order(spec)?, task, comm)
+}
+
+/// The induction over the analysis `order`, given every task's `λ_t` and
+/// the SRGs in `comm` the caller already knows: each other SRG is computed
+/// once, from the stored SRGs of its inputs.
+fn complete<D: SrgDomain>(
+    d: &D,
+    spec: &Specification,
+    imp: &Implementation,
+    order: &[CommunicatorId],
+    task: Vec<D::Value>,
+    mut comm: Vec<Option<D::Value>>,
+) -> Result<Srgs<D::Value>, ReliabilityError> {
+    for &c in order {
+        if comm[c.index()].is_some() {
+            continue;
+        }
+        let (task, done) = (&task, &comm);
+        let lambda = comm_value(
+            d,
+            spec,
+            imp,
+            c,
+            |t| Ok(Cow::Borrowed(&task[t.index()])),
+            |inputs| {
+                Ok(inputs.into_iter().map(move |i| {
+                    Cow::Borrowed(done[i.index()].as_ref().expect("topological order"))
+                }))
+            },
+        )?;
+        comm[c.index()] = Some(lambda);
+    }
+    let comm = comm
+        .into_iter()
+        .map(|v| v.expect("`order` covers every communicator"));
+    Ok(Srgs {
+        task,
+        comm: comm.collect(),
+    })
+}
+
+/// The communicator analysis order, with cycles reported as errors.
+fn analysis_order(spec: &Specification) -> Result<Vec<CommunicatorId>, ReliabilityError> {
+    CommDependencyGraph::new(spec)
+        .analysis_order()
+        .map_err(|cyclic| ReliabilityError::CyclicDependencies {
+            communicators: cyclic
+                .iter()
+                .map(|&c| spec.communicator(c).name().to_owned())
+                .collect(),
+        })
+}
+
+/// The point domain: [`Reliability`] values under
+/// [`Reliability::series`] and [`Reliability::parallel`].
+struct Point<'a>(&'a Architecture);
+
+impl SrgDomain for Point<'_> {
+    type Value = Reliability;
+
+    fn replica(&self, _: TaskId, h: HostId) -> Result<Reliability, ReliabilityError> {
+        let (hrel, brel) = (self.0.host(h).reliability(), self.0.broadcast_reliability());
+        Ok(Reliability::series([hrel, brel])?)
+    }
+
+    fn sensor(&self, s: SensorId) -> Reliability {
+        self.0.sensor(s).reliability()
+    }
+
+    fn series<'v>(
+        &self,
+        items: impl IntoIterator<Item = Cow<'v, Reliability>>,
+    ) -> Result<Reliability, ReliabilityError> {
+        Ok(Reliability::series(items.into_iter().map(|r| *r))?)
+    }
+
+    fn parallel<'v>(
+        &self,
+        items: impl IntoIterator<Item = Cow<'v, Reliability>>,
+    ) -> Result<Reliability, ReliabilityError> {
+        Ok(Reliability::parallel(items.into_iter().map(|r| *r))?)
+    }
+}
+
+/// The RBD domain: labelled [`Block`] units (`task@host`, the sensor's
+/// name, `const:<communicator>`) under series and parallel junctions.
+struct Rbd<'a> {
+    spec: &'a Specification,
+    arch: &'a Architecture,
+}
+
+impl SrgDomain for Rbd<'_> {
+    type Value = Block;
+
+    fn replica(&self, t: TaskId, h: HostId) -> Result<Block, ReliabilityError> {
+        let label = Sym::Replica(t, h).label(self.spec, self.arch);
+        Ok(Block::named_unit(label, Point(self.arch).replica(t, h)?))
+    }
+
+    fn sensor(&self, s: SensorId) -> Block {
+        let label = Sym::Sensor(s).label(self.spec, self.arch);
+        Block::named_unit(label, self.arch.sensor(s).reliability())
+    }
+
+    fn constant(&self, c: CommunicatorId) -> Result<Block, ReliabilityError> {
+        let label = format!("const:{}", self.spec.communicator(c).name());
+        Ok(Block::named_unit(label, Reliability::ONE))
+    }
+
+    fn series<'v>(
+        &self,
+        items: impl IntoIterator<Item = Cow<'v, Block>>,
+    ) -> Result<Block, ReliabilityError> {
+        Ok(Block::series(
+            items.into_iter().map(Cow::into_owned).collect(),
+        ))
+    }
+
+    fn parallel<'v>(
+        &self,
+        items: impl IntoIterator<Item = Cow<'v, Block>>,
+    ) -> Result<Block, ReliabilityError> {
+        Block::parallel(items.into_iter().map(Cow::into_owned).collect())
+    }
+}
+
 /// The reliability `λ_t` of `task` under `imp`: the parallel combination of
 /// its replications' effective reliabilities (`hrel · brel`).
 ///
@@ -108,13 +366,7 @@ pub fn task_reliability(
     imp: &Implementation,
     task: TaskId,
 ) -> Result<Reliability, ReliabilityError> {
-    let brel = arch.broadcast_reliability();
-    let replicas = imp
-        .hosts_of(task)
-        .iter()
-        .map(|&h| Reliability::series([arch.host(h).reliability(), brel]))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Reliability::parallel(replicas)?)
+    task_value(&Point(arch), imp, task)
 }
 
 /// Computes the SRGs of every task and communicator for a static
@@ -170,82 +422,7 @@ pub fn compute_srgs(
     arch: &Architecture,
     imp: &Implementation,
 ) -> Result<SrgReport, ReliabilityError> {
-    let mut task = Vec::with_capacity(spec.task_count());
-    for t in spec.task_ids() {
-        task.push(task_reliability(arch, imp, t)?);
-    }
-    let order = analysis_order(spec)?;
-    let comm = comm_induction(spec, &order, &task, |c| {
-        let sensors = imp.sensors_of(c);
-        if sensors.is_empty() {
-            return Err(ReliabilityError::UnboundInput {
-                communicator: spec.communicator(c).name().to_owned(),
-            });
-        }
-        Ok(Reliability::parallel(
-            sensors.iter().map(|&s| arch.sensor(s).reliability()),
-        )?)
-    })?;
-    Ok(SrgReport { task, comm })
-}
-
-/// The communicator analysis order, with cycles reported as errors.
-pub(crate) fn analysis_order(
-    spec: &Specification,
-) -> Result<Vec<CommunicatorId>, ReliabilityError> {
-    CommDependencyGraph::new(spec)
-        .analysis_order()
-        .map_err(|cyclic| ReliabilityError::CyclicDependencies {
-            communicators: cyclic
-                .iter()
-                .map(|&c| spec.communicator(c).name().to_owned())
-                .collect(),
-        })
-}
-
-/// The §3 induction over communicators: given every task's reliability and
-/// a source of sensor-input reliabilities, computes every SRG along a
-/// topological `order`.
-fn comm_induction(
-    spec: &Specification,
-    order: &[CommunicatorId],
-    task: &[Reliability],
-    mut sensor_lambda: impl FnMut(CommunicatorId) -> Result<Reliability, ReliabilityError>,
-) -> Result<Vec<Reliability>, ReliabilityError> {
-    let mut comm: Vec<Option<Reliability>> = vec![None; spec.communicator_count()];
-    for &c in order {
-        let lambda = if spec.is_sensor_input(c) {
-            sensor_lambda(c)?
-        } else if let Some(t) = spec.writer(c) {
-            let lt = task[t.index()];
-            match spec.task(t).failure_model() {
-                FailureModel::Independent => lt,
-                FailureModel::Series => {
-                    let inputs = spec
-                        .task(t)
-                        .input_comm_set()
-                        .into_iter()
-                        .map(|c2| comm[c2.index()].expect("topological order"));
-                    Reliability::series(std::iter::once(lt).chain(inputs))?
-                }
-                FailureModel::Parallel => {
-                    let inputs = spec
-                        .task(t)
-                        .input_comm_set()
-                        .into_iter()
-                        .map(|c2| comm[c2.index()].expect("topological order"));
-                    let any_input = Reliability::parallel(inputs)?;
-                    Reliability::series([lt, any_input])?
-                }
-            }
-        } else {
-            // A constant communicator holds its (reliable) initial value
-            // forever.
-            Reliability::ONE
-        };
-        comm[c.index()] = Some(lambda);
-    }
-    Ok(comm.into_iter().map(|r| r.expect("all computed")).collect())
+    induction(&Point(arch), spec, imp)
 }
 
 /// Incremental SRG evaluation for synthesis loops.
@@ -266,7 +443,7 @@ pub struct SrgComputation<'a> {
     spec: &'a Specification,
     arch: &'a Architecture,
     order: Vec<CommunicatorId>,
-    /// Parallel sensor reliability per sensor-input communicator.
+    /// The SRG of every sensor-input communicator, `None` elsewhere.
     sensor_lambda: Vec<Option<Reliability>>,
     /// Memoized `λ_t` keyed by `(task, host bitmask)`.
     task_cache: BTreeMap<(TaskId, u64), Reliability>,
@@ -286,18 +463,8 @@ impl<'a> SrgComputation<'a> {
     ) -> Result<Self, ReliabilityError> {
         let order = analysis_order(spec)?;
         let mut sensor_lambda = vec![None; spec.communicator_count()];
-        for c in spec.communicator_ids() {
-            if spec.is_sensor_input(c) {
-                let sensors = base.sensors_of(c);
-                if sensors.is_empty() {
-                    return Err(ReliabilityError::UnboundInput {
-                        communicator: spec.communicator(c).name().to_owned(),
-                    });
-                }
-                sensor_lambda[c.index()] = Some(Reliability::parallel(
-                    sensors.iter().map(|&s| arch.sensor(s).reliability()),
-                )?);
-            }
+        for c in spec.communicator_ids().filter(|&c| spec.is_sensor_input(c)) {
+            sensor_lambda[c.index()] = Some(sensor_value(&Point(arch), spec, base, c)?);
         }
         Ok(SrgComputation {
             spec,
@@ -335,18 +502,15 @@ impl<'a> SrgComputation<'a> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`compute_srgs`] (the structural ones were
-    /// already ruled out by [`SrgComputation::new`]).
+    /// Same conditions as [`compute_srgs`] (cycles were already ruled out
+    /// by [`SrgComputation::new`]).
     pub fn report(&mut self, imp: &Implementation) -> Result<SrgReport, ReliabilityError> {
         let mut task = Vec::with_capacity(self.spec.task_count());
         for t in self.spec.task_ids() {
             task.push(self.task_lambda(imp, t)?);
         }
-        let sensor_lambda = &self.sensor_lambda;
-        let comm = comm_induction(self.spec, &self.order, &task, |c| {
-            Ok(sensor_lambda[c.index()].expect("validated in new()"))
-        })?;
-        Ok(SrgReport { task, comm })
+        let known = self.sensor_lambda.clone();
+        complete(&Point(self.arch), self.spec, imp, &self.order, task, known)
     }
 
     /// [`crate::analysis::check`] with memoized SRGs: identical verdict,
@@ -386,75 +550,21 @@ pub fn communicator_block(
     imp: &Implementation,
     comm: CommunicatorId,
 ) -> Result<Block, ReliabilityError> {
-    // Reject cyclic structures up front so recursion terminates.
-    let graph = CommDependencyGraph::new(spec);
-    graph
-        .analysis_order()
-        .map_err(|cyclic| ReliabilityError::CyclicDependencies {
-            communicators: cyclic
-                .iter()
-                .map(|&c| spec.communicator(c).name().to_owned())
-                .collect(),
-        })?;
-    block_rec(spec, arch, imp, comm)
+    // Rejecting cycles up front makes the recursion terminate.
+    analysis_order(spec)?;
+    rbd(&Rbd { spec, arch }, imp, comm)
 }
 
-fn block_rec(
-    spec: &Specification,
-    arch: &Architecture,
-    imp: &Implementation,
-    comm: CommunicatorId,
-) -> Result<Block, ReliabilityError> {
-    if spec.is_sensor_input(comm) {
-        let sensors = imp.sensors_of(comm);
-        if sensors.is_empty() {
-            return Err(ReliabilityError::UnboundInput {
-                communicator: spec.communicator(comm).name().to_owned(),
-            });
-        }
-        let units = sensors
-            .iter()
-            .map(|&s| Block::named_unit(arch.sensor(s).name(), arch.sensor(s).reliability()))
-            .collect();
-        return Block::parallel(units);
-    }
-    let Some(t) = spec.writer(comm) else {
-        return Ok(Block::named_unit(
-            format!("const:{}", spec.communicator(comm).name()),
-            Reliability::ONE,
-        ));
-    };
-    let brel = arch.broadcast_reliability();
-    let replicas = imp
-        .hosts_of(t)
-        .iter()
-        .map(|&h| {
-            let eff = Reliability::series([arch.host(h).reliability(), brel])?;
-            Ok(Block::named_unit(
-                format!("{}@{}", spec.task(t).name(), arch.host(h).name()),
-                eff,
-            ))
-        })
-        .collect::<Result<Vec<_>, ReliabilityError>>()?;
-    let task_block = Block::parallel(replicas)?;
-    let input_blocks = spec
-        .task(t)
-        .input_comm_set()
-        .into_iter()
-        .map(|c2| block_rec(spec, arch, imp, c2))
-        .collect::<Result<Vec<_>, _>>()?;
-    let block = match spec.task(t).failure_model() {
-        FailureModel::Independent => task_block,
-        FailureModel::Series => {
-            let mut parts = vec![task_block];
-            parts.extend(input_blocks);
-            Block::series(parts)
-        }
-        FailureModel::Parallel => {
-            Block::series(vec![task_block, Block::parallel(input_blocks)?])
-        }
-    };
-    Ok(block)
+/// The induction unfolded into a tree from `c`: every input is built
+/// afresh for each path that reads it, as an RBD requires.
+fn rbd(d: &Rbd<'_>, imp: &Implementation, c: CommunicatorId) -> Result<Block, ReliabilityError> {
+    let task = |t| task_value(d, imp, t).map(Cow::Owned);
+    comm_value(d, d.spec, imp, c, task, |inputs| {
+        inputs
+            .into_iter()
+            .map(|i| rbd(d, imp, i).map(Cow::Owned))
+            .collect::<Result<Vec<_>, _>>()
+    })
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Symbolic SRGs: exact polynomial expressions over component symbols.
 //!
-//! The §3 induction is re-run with a polynomial [`Poly`] in place of every
+//! This module supplies the symbolic domain of the §3 induction (the
+//! shared walk in [`crate::srg`]): a polynomial [`Poly`] in place of every
 //! `f64`, over one symbol per *replica unit* (`task@host`, carrying the
 //! derated reliability `hrel · brel`) and per *sensor*. This symbol
 //! granularity deliberately matches the unit names of
@@ -21,11 +22,11 @@
 //!   multilinear in `x` and with the RBD pinning semantics always.
 
 use crate::error::ReliabilityError;
-use crate::srg::analysis_order;
+use crate::srg::{induction, SrgDomain, Srgs};
 use logrel_core::{
-    Architecture, CommunicatorId, FailureModel, HostId, Implementation, SensorId, Specification,
-    TaskId,
+    Architecture, CommunicatorId, HostId, Implementation, SensorId, Specification, TaskId,
 };
+use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A reliability symbol: one replica unit or one sensor.
@@ -152,17 +153,19 @@ impl Poly {
     }
 
     /// Series combination `Π p_i` (empty product is `1`).
-    pub fn series<'a, I: IntoIterator<Item = &'a Poly>>(items: I) -> Poly {
+    pub fn series<I: IntoIterator<Item: Borrow<Poly>>>(items: I) -> Poly {
         items
             .into_iter()
-            .fold(Poly::constant(1.0), |acc, p| acc.mul(p))
+            .fold(Poly::constant(1.0), |acc, p| acc.mul(p.borrow()))
     }
 
     /// Parallel combination `1 − Π (1 − p_i)`.
-    pub fn parallel<'a, I: IntoIterator<Item = &'a Poly>>(items: I) -> Poly {
+    pub fn parallel<I: IntoIterator<Item: Borrow<Poly>>>(items: I) -> Poly {
         items
             .into_iter()
-            .fold(Poly::constant(1.0), |acc, p| acc.mul(&p.one_minus()))
+            .fold(Poly::constant(1.0), |acc, p| {
+                acc.mul(&p.borrow().one_minus())
+            })
             .one_minus()
     }
 
@@ -255,11 +258,7 @@ pub fn standard_assignment(arch: &Architecture) -> impl Fn(Sym) -> f64 + '_ {
 }
 
 /// Symbolic SRG expressions for every task and communicator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SymbolicSrgReport {
-    task: Vec<Poly>,
-    comm: Vec<Poly>,
-}
+pub type SymbolicSrgReport = Srgs<Poly>;
 
 impl SymbolicSrgReport {
     /// The symbolic `λ_t`.
@@ -270,6 +269,35 @@ impl SymbolicSrgReport {
     /// The symbolic `λ_c`.
     pub fn communicator(&self, c: CommunicatorId) -> &Poly {
         &self.comm[c.index()]
+    }
+}
+
+/// The symbolic domain: one [`Sym`] variable per replica and per sensor.
+struct Symbolic;
+
+impl SrgDomain for Symbolic {
+    type Value = Poly;
+
+    fn replica(&self, t: TaskId, h: HostId) -> Result<Poly, ReliabilityError> {
+        Ok(Poly::var(Sym::Replica(t, h)))
+    }
+
+    fn sensor(&self, s: SensorId) -> Poly {
+        Poly::var(Sym::Sensor(s))
+    }
+
+    fn series<'v>(
+        &self,
+        items: impl IntoIterator<Item = Cow<'v, Poly>>,
+    ) -> Result<Poly, ReliabilityError> {
+        Ok(Poly::series(items))
+    }
+
+    fn parallel<'v>(
+        &self,
+        items: impl IntoIterator<Item = Cow<'v, Poly>>,
+    ) -> Result<Poly, ReliabilityError> {
+        Ok(Poly::parallel(items))
     }
 }
 
@@ -284,65 +312,7 @@ pub fn compute_symbolic_srgs(
     spec: &Specification,
     imp: &Implementation,
 ) -> Result<SymbolicSrgReport, ReliabilityError> {
-    let mut task = Vec::with_capacity(spec.task_count());
-    for t in spec.task_ids() {
-        let replicas: Vec<Poly> = imp
-            .hosts_of(t)
-            .iter()
-            .map(|&h| Poly::var(Sym::Replica(t, h)))
-            .collect();
-        if replicas.is_empty() {
-            return Err(ReliabilityError::Structure {
-                detail: format!("task `{}` has no replicas", spec.task(t).name()),
-            });
-        }
-        task.push(Poly::parallel(&replicas));
-    }
-    let order = analysis_order(spec)?;
-    let mut comm: Vec<Option<Poly>> = vec![None; spec.communicator_count()];
-    for &c in &order {
-        let lambda = if spec.is_sensor_input(c) {
-            let sensors = imp.sensors_of(c);
-            if sensors.is_empty() {
-                return Err(ReliabilityError::UnboundInput {
-                    communicator: spec.communicator(c).name().to_owned(),
-                });
-            }
-            let vars: Vec<Poly> = sensors.iter().map(|&s| Poly::var(Sym::Sensor(s))).collect();
-            Poly::parallel(&vars)
-        } else if let Some(t) = spec.writer(c) {
-            let lt = &task[t.index()];
-            match spec.task(t).failure_model() {
-                FailureModel::Independent => lt.clone(),
-                FailureModel::Series => {
-                    let inputs: Vec<Poly> = spec
-                        .task(t)
-                        .input_comm_set()
-                        .into_iter()
-                        .map(|c2| comm[c2.index()].clone().expect("topological order"))
-                        .collect();
-                    Poly::series(std::iter::once(lt).chain(inputs.iter()))
-                }
-                FailureModel::Parallel => {
-                    let inputs: Vec<Poly> = spec
-                        .task(t)
-                        .input_comm_set()
-                        .into_iter()
-                        .map(|c2| comm[c2.index()].clone().expect("topological order"))
-                        .collect();
-                    let any_input = Poly::parallel(&inputs);
-                    Poly::series([lt, &any_input])
-                }
-            }
-        } else {
-            Poly::constant(1.0)
-        };
-        comm[c.index()] = Some(lambda);
-    }
-    Ok(SymbolicSrgReport {
-        task,
-        comm: comm.into_iter().map(|p| p.expect("all computed")).collect(),
-    })
+    induction(&Symbolic, spec, imp)
 }
 
 #[cfg(test)]

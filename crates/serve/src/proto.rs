@@ -402,22 +402,7 @@ fn parse_job(doc: &Json, id: String) -> Result<Request, String> {
 }
 
 /// Escapes `s` for embedding inside a JSON string literal.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use logrel_obs::export::json_escape as escape;
 
 /// Renders the status line for a completed job.
 #[must_use]

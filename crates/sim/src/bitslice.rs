@@ -1,7 +1,8 @@
 //! Bit-sliced Monte-Carlo execution: up to 64 replications per run.
 //!
-//! [`Simulation::run_bitsliced`] evaluates the compiled [`RoundProgram`]
-//! for up to 64 *independent* replications ("lanes") in one pass. Boolean
+//! [`Simulation::run_bitsliced`] evaluates the compiled
+//! [`RoundProgram`](logrel_core::roundprog::RoundProgram) for up to 64
+//! *independent* replications ("lanes") in one pass. Boolean
 //! per-replica state — liveness, broadcast delivery, warm-up, exclusion,
 //! vote delivery — is packed into `u64` lane masks, and communicator
 //! values are kept as *value classes*: disjoint lane masks per distinct
@@ -37,7 +38,7 @@
 //! reduces to mask intersection and the per-replica output buffers are
 //! never materialized. A corrupting injector on any lane switches the
 //! whole run to the slow path, which stores per-(replica, lane) output
-//! rows and votes each lane with [`vote_into`] — still bit-identical,
+//! rows and votes each lane with [`vote_into`](crate::vote_into) — still bit-identical,
 //! just without the class compression on the vote.
 
 use crate::behavior::BehaviorMap;

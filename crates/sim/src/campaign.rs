@@ -1,7 +1,8 @@
 //! Scenario campaigns over the deterministic Monte-Carlo harness.
 //!
 //! A campaign runs a [`Scenario`] for a batch of seeded replications
-//! (via [`run_supervised_replications`]) with an online [`LrcMonitor`]
+//! (via [`run_indexed_units`], one unit per scalar replication or per
+//! bit-sliced lane group) with an online [`LrcMonitor`]
 //! attached to every replication, and aggregates per communicator: the
 //! empirical long-run reliability λ̂ against a caller-supplied analytic
 //! SRG (with the Hoeffding radius over the pooled sample count), the

@@ -80,8 +80,7 @@ pub use monitor::{
     Response, Supervisor,
 };
 pub use montecarlo::{
-    derive_seed, run_batch, run_indexed_units, run_observed_replications, run_replications,
-    run_supervised_replications, BatchConfig, ReplicationContext,
+    derive_seed, run_indexed_units, run_replications, BatchConfig, ReplicationContext,
 };
 pub use scenario::{
     HostSet, Scenario, ScenarioEnvironment, ScenarioError, ScenarioEvent, ScenarioInjector,

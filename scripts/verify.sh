@@ -21,10 +21,8 @@ cargo test -q -p logrel-sim --features validate > /dev/null
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc"
-# Scoped to the root package, as before `default-members` widened the
-# bare command: the other crates' docs still carry broken intra-doc links.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p logrel
+echo "==> cargo doc (every workspace crate, warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
 HTLC=target/release/htlc
 

@@ -11,8 +11,9 @@ use logrel_core::{TimeDependentImplementation, Value};
 use logrel_obs::NoopSink;
 use logrel_query::analyze_source;
 use logrel_reliability::{
-    architecture_importance, certify, compute_srgs, compute_symbolic_srgs, pinned_birnbaum,
-    standard_assignment, CertStatus,
+    architecture_importance, certify, communicator_block, compute_degraded_srgs,
+    compute_interval_srgs, compute_srgs, compute_symbolic_srgs, pinned_birnbaum,
+    standard_assignment, CertStatus, ReliabilityError, SrgComputation,
 };
 use logrel_sim::{
     run_campaign, BatchConfig, CampaignConfig, ConstantEnvironment, LaneMode, MonitorConfig,
@@ -132,6 +133,107 @@ fn symbolic_birnbaum_matches_rbd_importance_on_case_studies() {
             }
         }
         assert!(compared >= 8, "{name}: only {compared} partials compared");
+    }
+}
+
+/// Covers what the shipped specs do not: replicated sensors, a parallel
+/// task with two inputs, an independent-model task on a communicator
+/// cycle, a communicator nobody updates, and a lossy broadcast.
+const MIXED_MODELS: &str = "program mixed_models {
+    communicator s : float period 10 sensor;
+    communicator r : float period 10 sensor;
+    communicator k : float period 10;
+    communicator fused : float period 10;
+    communicator state : float period 10;
+    communicator u : float period 10 lrc 0.9;
+    module m {
+        start mode main period 40 {
+            invoke fuse model parallel reads s[0], r[0] writes fused[1] defaults 0.0, 0.0;
+            invoke track model independent reads state[0], fused[1] writes state[2]
+                defaults 0.0, 0.0;
+            invoke ctrl reads state[2], fused[1], k[0] writes u[3];
+        }
+    }
+    architecture {
+        host h1 reliability 0.99;
+        host h2 reliability 0.98;
+        sensor sa reliability 0.9;
+        sensor sb reliability 0.95;
+        sensor sc reliability 0.97;
+        broadcast reliability 0.999;
+        wcet fuse on h1 1; wctt fuse on h1 1; wcet fuse on h2 1; wctt fuse on h2 1;
+        wcet track on h1 1; wctt track on h1 1; wcet track on h2 1; wctt track on h2 1;
+        wcet ctrl on h1 1; wctt ctrl on h1 1; wcet ctrl on h2 1; wctt ctrl on h2 1;
+    }
+    map {
+        fuse -> h1, h2;
+        track -> h2;
+        ctrl -> h1, h2;
+        bind s -> sa, sb;
+        bind r -> sc;
+    }
+}
+";
+
+fn elaborate(source: &str) -> logrel::lang::ElaboratedSystem {
+    let program = logrel::lang::parse(source).unwrap();
+    logrel::lang::elaborate(&program).unwrap()
+}
+
+/// One induction, four domains: on every communicator of every shipped
+/// spec (and of [`MIXED_MODELS`]), the symbolic polynomial under the
+/// standard assignment and the RBD both evaluate to the point SRG.
+#[test]
+fn symbolic_and_rbd_domains_agree_with_point_srgs() {
+    let mut sources: Vec<(String, String)> = all_specs()
+        .iter()
+        .map(|p| (p.display().to_string(), fs::read_to_string(p).unwrap()))
+        .collect();
+    sources.push(("mixed_models".to_owned(), MIXED_MODELS.to_owned()));
+    for (ctx, source) in &sources {
+        let sys = elaborate(source);
+        let point = compute_srgs(&sys.spec, &sys.arch, &sys.imp).unwrap();
+        let symbolic = compute_symbolic_srgs(&sys.spec, &sys.imp).unwrap();
+        let assign = standard_assignment(&sys.arch);
+        for c in sys.spec.communicator_ids() {
+            let name = sys.spec.communicator(c).name();
+            let want = point.communicator(c).get();
+            let poly = symbolic.communicator(c).eval(&assign);
+            assert!(
+                (poly - want).abs() <= 1e-9,
+                "{ctx}: `{name}` symbolic {poly} vs {want}"
+            );
+            let block = communicator_block(&sys.spec, &sys.arch, &sys.imp, c).unwrap();
+            let rbd = block.reliability().unwrap().get();
+            assert!(
+                (rbd - want).abs() <= 1e-9,
+                "{ctx}: `{name}` rbd {rbd} vs {want}"
+            );
+        }
+    }
+}
+
+/// A cycle without an independent-model task is rejected with the same
+/// communicator list by every domain's entry point.
+#[test]
+fn every_domain_reports_the_same_cycle() {
+    let sys = elaborate(&MIXED_MODELS.replace("model independent", "model series"));
+    let (spec, arch, imp) = (&sys.spec, &sys.arch, &sys.imp);
+    let cycle = |r: Result<(), ReliabilityError>| match r {
+        Err(ReliabilityError::CyclicDependencies { communicators }) => communicators,
+        other => panic!("expected a cycle error, got {other:?}"),
+    };
+    let point = cycle(compute_srgs(spec, arch, imp).map(drop));
+    assert_eq!(point, ["state", "u"]);
+    let u = spec.find_communicator("u").unwrap();
+    for other in [
+        compute_interval_srgs(spec, arch, imp).map(drop),
+        compute_degraded_srgs(spec, arch, imp, 1e-3).map(drop),
+        compute_symbolic_srgs(spec, imp).map(drop),
+        communicator_block(spec, arch, imp, u).map(drop),
+        SrgComputation::new(spec, arch, imp).map(drop),
+    ] {
+        assert_eq!(cycle(other), point);
     }
 }
 
