@@ -7,10 +7,10 @@
 //! full front half once — incremental analysis ([`analyze_source`],
 //! warm-started from the service's [`SharedDb`] so a *resubmitted edited
 //! spec* reuses the refinement relation, and handing back the system it
-//! elaborated so the spec is parsed and elaborated only once), one
-//! [`Simulation::try_new_observed`] (which compiles the calendar and
-//! round program and, under the `validate` feature, self-certifies the
-//! kernel) and the analytic SRG pass — and caches the result behind an
+//! elaborated so the spec is parsed and elaborated only once), then moves
+//! the system into a [`CompiledSystem`] (which compiles the calendar and
+//! round program once, self-certifying the kernel under the `validate`
+//! feature, and computes the analytic SRGs) and caches it behind an
 //! `Arc`. A hit shares everything; the only per-job work left is the
 //! Monte-Carlo campaign itself.
 //!
@@ -31,10 +31,10 @@
 //! the worker pool; results land in per-job slots indexed by unit and
 //! are merged in unit (= replication) order. Seeds derive from
 //! `(base_seed, replication)`, never from a worker id, so the exported
-//! registry is **byte-identical at any worker count** and equal to a
-//! standalone `htlc inject` of the same `(spec, scenario, seed, lanes)`
-//! up to the wall-clock `*_seconds` span gauges, which a service job
-//! deliberately never records.
+//! registry is **byte-identical at any worker count**. Parameter checks,
+//! replication contexts and the registry prelude all come from
+//! [`CompiledSystem`], the pipeline the `htlc` campaign commands run too;
+//! a service job records no wall-clock `*_seconds` span gauges.
 //!
 //! # Backpressure and shutdown
 //!
@@ -48,17 +48,13 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
-use logrel_core::{Architecture, Value};
 use logrel_lang::subspec::FnvWriter;
-use logrel_lang::ElaboratedSystem;
 use logrel_obs::export::to_json_line;
 use logrel_obs::{names, MetricsSink, NoopSink, Registry};
 use logrel_query::{analyze_source, LoadOutcome, SharedDb};
-use logrel_sim::montecarlo::{BatchConfig, ReplicationContext};
 use logrel_sim::{
-    plan_units, run_campaign_unit, aggregate_campaign, BehaviorMap, CampaignConfig, CampaignUnit,
-    ConstantEnvironment, LaneMode, MonitorConfig, ProbabilisticFaults, RepStats, Scenario,
-    ScenarioSymbols, Simulation,
+    campaign_registry, plan_units, CampaignConfig, CampaignUnit, CompiledSystem, LaneMode,
+    RepStats, Scenario, FLIGHT_RING,
 };
 
 use crate::proto::{self, JobError};
@@ -79,7 +75,7 @@ pub struct ServeConfig {
     /// submission is rejected with `S002`.
     pub queue_capacity: usize,
     /// Flight-recorder capacity for job registries (0 disables); the
-    /// default matches `htlc inject`'s ring of 256.
+    /// default is the campaign ring, [`FLIGHT_RING`].
     pub recorder_capacity: usize,
     /// Optional `.logrel-cache` path: loaded at startup to warm the
     /// analysis db, atomically rewritten after each compile.
@@ -91,7 +87,7 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 0,
             queue_capacity: 16,
-            recorder_capacity: 256,
+            recorder_capacity: FLIGHT_RING,
             cache_path: None,
         }
     }
@@ -125,20 +121,9 @@ pub struct JobOutcome {
     pub cache_hit: bool,
 }
 
-/// Everything derived from a spec that campaigns can share: the
-/// elaborated system, its time-dependent implementation, the compiled
-/// calendar/round program, and the analytic SRG vector.
-struct CompiledSpec {
-    sys: ElaboratedSystem,
-    td: logrel_core::TimeDependentImplementation,
-    calendar: Arc<logrel_core::Calendar>,
-    program: Arc<logrel_core::RoundProgram>,
-    analytic: Vec<Option<f64>>,
-}
-
 /// One spec's compile, in flight or finished. Every submitter of the
 /// spec shares the slot; exactly one of them runs the compile.
-type CompileSlot = Arc<OnceLock<Result<Arc<CompiledSpec>, JobError>>>;
+type CompileSlot = Arc<OnceLock<Result<Arc<CompiledSystem>, JobError>>>;
 
 struct CacheEntry {
     slot: CompileSlot,
@@ -189,17 +174,6 @@ impl CompileCache {
     }
 }
 
-struct Symbols<'a>(&'a ElaboratedSystem);
-
-impl ScenarioSymbols for Symbols<'_> {
-    fn host(&self, name: &str) -> Option<logrel_core::HostId> {
-        self.0.arch.find_host(name)
-    }
-    fn communicator(&self, name: &str) -> Option<logrel_core::CommunicatorId> {
-        self.0.spec.find_communicator(name)
-    }
-}
-
 /// One unit of pool work: run `job.units[unit_index]`.
 struct WorkItem {
     job: Arc<JobState>,
@@ -216,11 +190,10 @@ struct SlotBoard {
 }
 
 struct JobState {
-    compiled: Arc<CompiledSpec>,
+    compiled: Arc<CompiledSystem>,
     scenario: Scenario,
     config: CampaignConfig,
     units: Vec<CampaignUnit>,
-    recorder_capacity: usize,
     slots: Mutex<SlotBoard>,
     done_cv: Condvar,
 }
@@ -342,36 +315,18 @@ impl Engine {
     fn run_admitted(&self, job: &Job) -> Result<JobOutcome, JobError> {
         let inner = &*self.inner;
         let (compiled, cache_hit) = self.compiled(&job.spec_source, &job.spec_label)?;
-        let scenario = Scenario::parse_with(&job.scenario_source, &Symbols(&compiled.sys))
-            .map_err(|e| JobError::new(proto::S_CAMPAIGN, e.to_string()))?;
-        let host_count = compiled.sys.arch.host_count();
-        scenario
-            .check_bounds(host_count, compiled.sys.spec.communicator_count())
-            .map_err(|e| JobError::new(proto::S_CAMPAIGN, e.to_string()))?;
-        if job.replications == 0 {
-            return Err(JobError::new(
-                proto::S_CAMPAIGN,
-                "campaign needs at least one replication".to_owned(),
-            ));
-        }
-        let config = CampaignConfig {
-            batch: BatchConfig {
-                replications: job.replications,
-                rounds: job.rounds,
-                base_seed: job.seed,
-                // Unused here: sharding happens on the service pool, not
-                // inside the campaign runner.
-                threads: 1,
-            },
-            monitor: MonitorConfig::default(),
-            lanes: job.lanes,
-        };
+        let campaign_failed = |msg: String| JobError::new(proto::S_CAMPAIGN, msg);
+        let scenario = Scenario::parse_with(&job.scenario_source, &*compiled)
+            .map_err(|e| campaign_failed(e.to_string()))?;
+        // Units shard over the service pool, so the batch's thread
+        // count goes unused.
+        let config = CampaignConfig::new(job.replications, job.rounds, job.seed, job.lanes);
+        compiled.check(&scenario, &config).map_err(|e| campaign_failed(e.to_string()))?;
         let units = plan_units(job.replications, config.lanes.width());
         let state = Arc::new(JobState {
             compiled: Arc::clone(&compiled),
             scenario,
             config,
-            recorder_capacity: inner.config.recorder_capacity,
             slots: Mutex::new(SlotBoard {
                 results: (0..units.len()).map(|_| None).collect(),
                 remaining: units.len(),
@@ -399,37 +354,18 @@ impl Engine {
         for slot in board.results.iter_mut() {
             match slot.take().expect("remaining == 0 implies every slot is filled") {
                 Ok(unit_reps) => per_rep.extend(unit_reps),
-                Err(msg) => return Err(JobError::new(proto::S_CAMPAIGN, msg)),
+                Err(msg) => return Err(campaign_failed(msg)),
             }
         }
         drop(board);
-        let (_report, sinks) = aggregate_campaign(
-            &compiled.sys.spec,
-            &state.scenario,
-            host_count,
-            &state.config,
-            &compiled.analytic,
-            per_rep,
-        );
-        // Mirror `htlc inject`'s registry exactly, minus the wall-clock
-        // `*_seconds` spans (which would break byte-equality and are a
-        // per-process, not per-job, concern).
-        let mut registry = if inner.config.recorder_capacity > 0 {
-            Registry::with_recorder(inner.config.recorder_capacity)
-        } else {
-            Registry::new()
-        };
-        registry.set_gauge(names::BITSLICE_LANES, job.lanes.width() as f64);
-        registry.set_gauge(names::CAMPAIGN_SEED, job.seed as f64);
-        for sink in sinks {
-            registry.merge(sink);
-        }
+        let mut registry = campaign_registry(inner.config.recorder_capacity);
+        compiled.aggregate(&state.scenario, &state.config, per_rep, &mut registry);
         Ok(JobOutcome { metrics_line: to_json_line(&registry), cache_hit })
     }
 
     /// The compiled form of `source`, from cache or compiled now, and
     /// whether it was a cache hit.
-    fn compiled(&self, source: &str, label: &str) -> Result<(Arc<CompiledSpec>, bool), JobError> {
+    fn compiled(&self, source: &str, label: &str) -> Result<(Arc<CompiledSystem>, bool), JobError> {
         let inner = &*self.inner;
         let mut hasher = FnvWriter::new();
         hasher.write_bytes(source.as_bytes());
@@ -473,7 +409,7 @@ impl Engine {
         }
     }
 
-    fn compile(&self, source: &str, label: &str) -> Result<CompiledSpec, JobError> {
+    fn compile(&self, source: &str, label: &str) -> Result<CompiledSystem, JobError> {
         let inner = &*self.inner;
         let compile_failed = |msg: String| JobError::new(proto::S_COMPILE, msg);
         // Incremental analysis first: lints + verification passes, warm
@@ -503,24 +439,10 @@ impl Engine {
             Some(sys) => sys,
             None => logrel_lang::compile(source).map_err(|e| compile_failed(e.to_string()))?,
         };
-        let analytic_report =
-            logrel_reliability::compute_srgs(&sys.spec, &sys.arch, &sys.imp)
-                .map_err(|e| compile_failed(e.to_string()))?;
-        let analytic: Vec<Option<f64>> = sys
-            .spec
-            .communicator_ids()
-            .map(|c| Some(analytic_report.communicator(c).get()))
-            .collect();
-        let td = logrel_core::TimeDependentImplementation::from(sys.imp.clone());
-        // Compile the calendar + round program once (and self-certify
-        // under the `validate` feature); workers only ever reattach to
-        // the shared Arcs via `Simulation::with_program`.
-        let (calendar, program) = {
-            let sim = Simulation::try_new_observed(&sys.spec, &sys.arch, &td, &mut NoopSink)
-                .map_err(|e| compile_failed(format!("{e}")))?;
-            sim.shared_program()
-        };
-        Ok(CompiledSpec { sys, td, calendar, program, analytic })
+        let compiled = CompiledSystem::new(sys.spec, sys.arch, sys.imp, &mut NoopSink)
+            .map_err(|e| compile_failed(e.to_string()))?;
+        compiled.analytic().map_err(|e| compile_failed(e.to_string()))?;
+        Ok(compiled)
     }
 
     /// The service's own metrics registry as one JSON line.
@@ -621,7 +543,12 @@ fn worker_loop(inner: &Inner) {
                     .unwrap_or_else(|poison| poison.into_inner());
             }
         };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_unit(&item)))
+        let job = &*item.job;
+        let unit = job.units[item.unit_index];
+        let capacity = inner.config.recorder_capacity;
+        let run = || job.compiled.run_unit(&job.scenario, &job.config, capacity, unit);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .map(|units| units.map_err(|e| e.to_string()))
             .unwrap_or_else(|panic| {
                 let msg = panic
                     .downcast_ref::<&str>()
@@ -630,7 +557,6 @@ fn worker_loop(inner: &Inner) {
                     .unwrap_or_else(|| "opaque panic".to_owned());
                 Err(format!("worker panicked: {msg}"))
             });
-        let job = &item.job;
         let mut board = lock(&job.slots);
         board.results[item.unit_index] = Some(result);
         board.remaining -= 1;
@@ -638,42 +564,4 @@ fn worker_loop(inner: &Inner) {
             job.done_cv.notify_all();
         }
     }
-}
-
-fn run_unit(item: &WorkItem) -> UnitResult {
-    let job = &*item.job;
-    let compiled = &*job.compiled;
-    // Reattach to the shared round program: per-unit cost is just this
-    // struct, not a recompilation.
-    let sim = Simulation::with_program(
-        &compiled.sys.spec,
-        &compiled.td,
-        Arc::clone(&compiled.calendar),
-        Arc::clone(&compiled.program),
-    );
-    let arch: &Architecture = &compiled.sys.arch;
-    let setup = |_rep: u64| ReplicationContext {
-        behaviors: BehaviorMap::new(),
-        environment: Box::new(ConstantEnvironment::new(Value::Float(1.0))),
-        injector: Box::new(ProbabilisticFaults::from_architecture(arch)),
-    };
-    let cap = job.recorder_capacity;
-    let make_sink = |_rep: u64| {
-        if cap > 0 {
-            Registry::with_recorder(cap)
-        } else {
-            Registry::new()
-        }
-    };
-    run_campaign_unit(
-        &sim,
-        &compiled.sys.spec,
-        &job.scenario,
-        arch.host_count(),
-        &job.config,
-        setup,
-        make_sink,
-        job.units[item.unit_index],
-    )
-    .map_err(|e| e.to_string())
 }

@@ -20,10 +20,12 @@
 //!   the SIGTERM hook used for graceful drains.
 //!
 //! The service invariant worth stating twice: a served job's metrics
-//! line is **byte-identical at any worker count** and equal to a
-//! standalone `htlc inject --metrics` export of the same
-//! `(spec, scenario, seed, lanes)` minus the wall-clock `*_seconds`
-//! span gauges. Caches and concurrency change cost, never results.
+//! line is **byte-identical at any worker count**. The campaign half of
+//! a job runs through [`logrel_sim::CompiledSystem`], the pipeline the
+//! `htlc` campaign commands share, so the line equals the `htlc inject
+//! --metrics` export of the same `(spec, scenario, seed, lanes)` minus
+//! the wall-clock `*_seconds` span gauges. Caches and concurrency change
+//! cost, never results.
 
 pub mod engine;
 pub mod proto;

@@ -18,7 +18,7 @@
 //! | S004 | bad scenario or campaign parameters |
 //! | S005 | service is shutting down |
 
-use logrel_sim::LaneMode;
+use logrel_sim::{LaneMode, DEFAULT_REPLICATIONS, DEFAULT_ROUNDS, DEFAULT_SEED};
 
 /// Stable rejection code: malformed request line.
 pub const S_MALFORMED: &str = "S001";
@@ -101,9 +101,15 @@ impl Json {
     }
 }
 
-/// Parses one JSON document; trailing garbage is an error.
+/// The deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so without a bound one line of `[`s would
+/// overflow the stack; no protocol message nests deeper than 2.
+const MAX_JSON_DEPTH: usize = 64;
+
+/// Parses one JSON document; trailing garbage, and arrays or objects
+/// nested more than 64 deep, are errors.
 pub fn parse_json(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -116,6 +122,8 @@ pub fn parse_json(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -150,8 +158,11 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_JSON_DEPTH => {
+                Err(format!("nesting deeper than {MAX_JSON_DEPTH} at byte {}", self.pos))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -160,6 +171,13 @@ impl Parser<'_> {
             Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -306,11 +324,11 @@ pub struct JobRequest {
     pub spec: Source,
     /// The fault scenario script.
     pub scenario: Source,
-    /// Rounds per replication (default 4000, matching `htlc inject`).
+    /// Rounds per replication (default [`DEFAULT_ROUNDS`]).
     pub rounds: u64,
-    /// Replication count (default 8).
+    /// Replication count (default [`DEFAULT_REPLICATIONS`]).
     pub replications: u64,
-    /// Campaign base seed (default `0xC0FFEE`).
+    /// Campaign base seed (default [`DEFAULT_SEED`]).
     pub seed: u64,
     /// Lane mode: `"auto"` (default), `"off"`, or a width 1..=64.
     pub lanes: LaneMode,
@@ -394,9 +412,9 @@ fn parse_job(doc: &Json, id: String) -> Result<Request, String> {
         id,
         spec,
         scenario,
-        rounds: u64_field(doc, "rounds", 4_000)?,
-        replications: u64_field(doc, "replications", 8)?,
-        seed: u64_field(doc, "seed", 0xC0FFEE)?,
+        rounds: u64_field(doc, "rounds", DEFAULT_ROUNDS)?,
+        replications: u64_field(doc, "replications", DEFAULT_REPLICATIONS)?,
+        seed: u64_field(doc, "seed", DEFAULT_SEED)?,
         lanes,
     })))
 }

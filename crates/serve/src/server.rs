@@ -101,14 +101,26 @@ pub fn respond(engine: &Engine, line: &str, out: &mut impl Write) -> std::io::Re
     out.flush()
 }
 
+/// Answers every line of `input` on `out` until EOF. A line that is not
+/// UTF-8 is answered like any other malformed request.
+fn serve_lines(
+    engine: &Engine,
+    mut input: impl BufRead,
+    out: &mut impl Write,
+) -> std::io::Result<()> {
+    let mut line = Vec::new();
+    while input.read_until(b'\n', &mut line)? > 0 {
+        respond(engine, &String::from_utf8_lossy(&line), out)?;
+        line.clear();
+    }
+    Ok(())
+}
+
 /// Serves requests from stdin, one line at a time, until EOF. Responses
 /// go to stdout, flushed per request (CI drives this with a pipe). On
 /// EOF the engine drains and stops.
 pub fn serve_stdin(engine: &Engine) -> std::io::Result<()> {
-    let stdout = std::io::stdout();
-    for line in std::io::stdin().lock().lines() {
-        respond(engine, &line?, &mut stdout.lock())?;
-    }
+    serve_lines(engine, std::io::stdin().lock(), &mut std::io::stdout().lock())?;
     engine.shutdown();
     Ok(())
 }
@@ -190,14 +202,8 @@ fn handle_connection(engine: &Engine, stream: TcpStream) {
     };
     // Every write is a complete response, so Nagle could only delay it.
     let _ = stream.set_nodelay(true);
-    let reader = BufReader::new(read_half);
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        if respond(engine, &line, &mut writer).is_err() {
-            return;
-        }
-    }
+    let _ = serve_lines(engine, BufReader::new(read_half), &mut writer);
 }
 
 static TERM_REQUESTED: AtomicBool = AtomicBool::new(false);

@@ -10,18 +10,43 @@
 //! availability comes from the scenario timeline itself. Everything is
 //! bit-deterministic in the batch configuration — rerunning a report, at
 //! any thread count, reproduces it exactly.
+//!
+//! [`CompiledSystem`] is the one pipeline from an elaborated system to a
+//! campaign registry; `htlc inject`, `trace`, `fuzz` and `simulate` and
+//! the `logrel-serve` engine are thin drivers over it.
 
+use crate::behavior::BehaviorMap;
 use crate::bitslice::LaneContext;
-use crate::environment::Environment;
-use crate::fault::FaultInjector;
-use crate::kernel::{SimConfig, SimOutput, Simulation};
+use crate::environment::ConstantEnvironment;
+use crate::fault::ProbabilisticFaults;
+use crate::kernel::{SimBuildError, SimConfig, SimOutput, Simulation};
 use crate::monitor::{AlarmKind, LrcMonitor, MonitorConfig};
 use crate::montecarlo::{derive_seed, run_indexed_units, BatchConfig, ReplicationContext};
-use crate::scenario::{Scenario, ScenarioEnvironment, ScenarioError, ScenarioInjector};
-use logrel_core::{CommunicatorId, Specification, Tick};
-use logrel_obs::{MetricsSink, NoopSink, Registry};
-use logrel_reliability::hoeffding_epsilon;
+use crate::scenario::{
+    Scenario, ScenarioEnvironment, ScenarioError, ScenarioInjector, ScenarioSymbols,
+};
+use logrel_core::{
+    Architecture, Calendar, CommunicatorId, HostId, Implementation, RoundProgram, Specification,
+    Tick, TimeDependentImplementation, Value,
+};
+use logrel_obs::{names, FlightRecorder, MetricsSink, NoopSink, Registry};
+use logrel_reliability::{compute_srgs, hoeffding_epsilon, ReliabilityError};
 use std::fmt;
+use std::sync::Arc;
+
+/// Rounds per replication of a campaign that does not say.
+pub const DEFAULT_ROUNDS: u64 = 4_000;
+/// Replications of a campaign that does not say.
+pub const DEFAULT_REPLICATIONS: u64 = 8;
+/// Base seed of a campaign (or a single run) that does not say.
+pub const DEFAULT_SEED: u64 = 0xC0FFEE;
+/// Flight-recorder ring capacity of campaign registries: enough context
+/// to see the rounds leading up to a violation without unbounded growth.
+pub const FLIGHT_RING: usize = 256;
+/// The most replications one campaign may request: each replication's
+/// registry (about 15 KiB with a [`FLIGHT_RING`] recorder) is held until
+/// the in-order merge. Larger counts are rejected before any allocation.
+pub const MAX_REPLICATIONS: u64 = 16_384;
 
 /// How a campaign executes its replications: bit-sliced lane groups (the
 /// default) or one scalar run per replication.
@@ -63,6 +88,16 @@ pub struct CampaignConfig {
     pub monitor: MonitorConfig,
     /// Scalar vs bit-sliced execution (default: 64-wide lane groups).
     pub lanes: LaneMode,
+}
+
+impl CampaignConfig {
+    /// `replications` × `rounds` from `base_seed` on every core, with the
+    /// default monitor.
+    #[must_use]
+    pub fn new(replications: u64, rounds: u64, base_seed: u64, lanes: LaneMode) -> Self {
+        let batch = BatchConfig { replications, rounds, base_seed, threads: 0 };
+        CampaignConfig { batch, monitor: MonitorConfig::default(), lanes }
+    }
 }
 
 /// Aggregated per-communicator campaign statistics.
@@ -132,6 +167,8 @@ pub enum CampaignError {
     /// A sharded unit's lane width is outside `1..=64` (the bit-sliced
     /// kernel packs replications into one `u64` word per lane group).
     LaneWidth(usize),
+    /// The batch requests more than [`MAX_REPLICATIONS`] replications.
+    TooManyReplications(u64),
 }
 
 impl fmt::Display for CampaignError {
@@ -144,6 +181,10 @@ impl fmt::Display for CampaignError {
             CampaignError::LaneWidth(w) => {
                 write!(f, "campaign unit width {w} outside 1..=64")
             }
+            CampaignError::TooManyReplications(n) => write!(
+                f,
+                "campaign requests {n} replications, more than the limit of {MAX_REPLICATIONS}"
+            ),
         }
     }
 }
@@ -307,13 +348,7 @@ where
         config,
         setup,
         analytic,
-        |_rep| {
-            if recorder_capacity > 0 {
-                Registry::with_recorder(recorder_capacity)
-            } else {
-                Registry::new()
-            }
-        },
+        |_rep| campaign_registry(recorder_capacity),
     )?;
     for sink in sinks {
         registry.merge(sink);
@@ -356,29 +391,18 @@ where
     if width == 1 {
         // Scalar path: one kernel run, exactly as the monolithic
         // campaign's `LaneMode::Off` executes it.
-        let rep = first_rep;
-        let base = setup(rep);
-        let injector = ScenarioInjector::new(base.injector, scenario, host_count, comm_count)?;
-        let mut environment: Box<dyn Environment + 'a> = Box::new(ScenarioEnvironment::new(
-            base.environment,
+        let base = setup(first_rep);
+        let mut sink = make_sink(first_rep);
+        let (out, monitor) = run_scenario_replication(
+            sim,
+            spec,
             scenario,
-            comm_count,
-        ));
-        let mut injector: Box<dyn FaultInjector + 'a> = Box::new(injector);
-        let mut behaviors = base.behaviors;
-        let mut monitor = LrcMonitor::new(spec, config.monitor);
-        let mut sink = make_sink(rep);
-        let out = sim.run_observed(
-            &mut behaviors,
-            &mut *environment,
-            &mut *injector,
-            &mut monitor,
+            host_count,
+            config.monitor,
+            base,
             &mut sink,
-            &SimConfig {
-                rounds: config.batch.rounds,
-                seed: derive_seed(config.batch.base_seed, rep),
-            },
-        );
+            &config.batch.sim_config(first_rep),
+        )?;
         return Ok(vec![(rep_stats(spec, &out, &monitor), sink)]);
     }
     // Bit-sliced lane group. One shared behavior map per group (the
@@ -391,9 +415,7 @@ where
         let base = setup(rep);
         let injector = ScenarioInjector::new(base.injector, scenario, host_count, comm_count)?;
         let environment = ScenarioEnvironment::new(base.environment, scenario, comm_count);
-        if behaviors.is_none() {
-            behaviors = Some(base.behaviors);
-        }
+        behaviors.get_or_insert(base.behaviors);
         lanes.push(LaneContext::new(
             derive_seed(config.batch.base_seed, rep),
             injector,
@@ -402,11 +424,7 @@ where
             make_sink(rep),
         ));
     }
-    let Some(mut behaviors) = behaviors else {
-        // Unreachable with width >= 1, but a degenerate unit must
-        // diagnose, never panic, inside a service worker.
-        return Err(CampaignError::LaneWidth(0));
-    };
+    let mut behaviors = behaviors.unwrap_or_default();
     let packed = sim.run_bitsliced(&mut behaviors, &mut lanes, config.batch.rounds);
     Ok(lanes
         .into_iter()
@@ -417,6 +435,53 @@ where
             (rep_stats(spec, &out, &monitor), sink)
         })
         .collect())
+}
+
+/// Runs one scalar replication of `scenario`: `base` wrapped in the
+/// scenario layers ([`ScenarioInjector`], [`ScenarioEnvironment`]) and
+/// supervised by a fresh [`LrcMonitor`], which comes back with the
+/// output. The scenario's bounds are checked first.
+#[allow(clippy::too_many_arguments)]
+pub fn run_scenario_replication<M: MetricsSink>(
+    sim: &Simulation<'_>,
+    spec: &Specification,
+    scenario: &Scenario,
+    host_count: usize,
+    monitor: MonitorConfig,
+    base: ReplicationContext<'_>,
+    sink: &mut M,
+    config: &SimConfig,
+) -> Result<(SimOutput, LrcMonitor), ScenarioError> {
+    let comm_count = spec.communicator_count();
+    let mut injector = ScenarioInjector::new(base.injector, scenario, host_count, comm_count)?;
+    let mut environment = ScenarioEnvironment::new(base.environment, scenario, comm_count);
+    let mut behaviors = base.behaviors;
+    let mut monitor = LrcMonitor::new(spec, monitor);
+    let out = sim.run_observed(
+        &mut behaviors,
+        &mut environment,
+        &mut injector,
+        &mut monitor,
+        sink,
+        config,
+    );
+    Ok((out, monitor))
+}
+
+/// The one campaign-parameter check: the scenario fits the system, and
+/// the replication count is in `1..=`[`MAX_REPLICATIONS`].
+fn check_campaign(
+    scenario: &Scenario,
+    host_count: usize,
+    comm_count: usize,
+    config: &CampaignConfig,
+) -> Result<(), CampaignError> {
+    scenario.check_bounds(host_count, comm_count)?;
+    match config.batch.replications {
+        0 => Err(CampaignError::NoReplications),
+        n if n > MAX_REPLICATIONS => Err(CampaignError::TooManyReplications(n)),
+        _ => Ok(()),
+    }
 }
 
 /// The shared campaign driver: plans the units, runs them over the
@@ -438,13 +503,8 @@ where
     M: MetricsSink + Send,
     FM: Fn(u64) -> M + Sync,
 {
-    let comm_count = spec.communicator_count();
     // Validate once up front so per-unit wrapping cannot fail.
-    scenario.check_bounds(host_count, comm_count)?;
-    if config.batch.replications == 0 {
-        return Err(CampaignError::NoReplications);
-    }
-
+    check_campaign(scenario, host_count, spec.communicator_count(), config)?;
     let units = plan_units(config.batch.replications, config.lanes.width());
     let per_unit: Vec<Result<Vec<(RepStats, M)>, CampaignError>> =
         run_indexed_units(config.batch.threads, &units, |&unit, _| {
@@ -525,10 +585,187 @@ pub fn aggregate_campaign<M>(
     let report = ScenarioReport {
         scenario: scenario.to_string(),
         host_availability: (0..host_count)
-            .map(|h| scenario.host_availability(logrel_core::HostId::new(h as u32), horizon))
+            .map(|h| scenario.host_availability(HostId::new(h as u32), horizon))
             .collect(),
         comms,
     };
     let sinks = per_rep.into_iter().map(|(_, sink)| sink).collect();
     (report, sinks)
+}
+
+/// Records the campaign's execution path and seed on `registry`, then
+/// merges the per-replication `sinks` into it in replication order.
+fn merge_campaign(registry: &mut Registry, config: &CampaignConfig, sinks: Vec<Registry>) {
+    registry.set_gauge(names::BITSLICE_LANES, config.lanes.width() as f64);
+    registry.set_gauge(names::CAMPAIGN_SEED, config.batch.base_seed as f64);
+    for sink in sinks {
+        registry.merge(sink);
+    }
+}
+
+/// A fresh campaign registry, with a flight recorder of
+/// `recorder_capacity` events when nonzero.
+#[must_use]
+pub fn campaign_registry(recorder_capacity: usize) -> Registry {
+    if recorder_capacity > 0 {
+        Registry::with_recorder(recorder_capacity)
+    } else {
+        Registry::new()
+    }
+}
+
+/// A system compiled once for any number of campaigns. Every campaign
+/// over it runs [`CompiledSystem::context`], passes
+/// [`CompiledSystem::check`] and gets one registry prelude; scenario
+/// names resolve against it.
+#[derive(Debug)]
+pub struct CompiledSystem {
+    spec: Specification,
+    arch: Architecture,
+    td: TimeDependentImplementation,
+    calendar: Arc<Calendar>,
+    program: Arc<RoundProgram>,
+    /// Kept even when the §3 analysis fails: a trace or a fuzzing
+    /// campaign compares against no SRG.
+    analytic: Result<Vec<Option<f64>>, ReliabilityError>,
+}
+
+impl CompiledSystem {
+    /// Computes the analytic SRGs and compiles the calendar and round
+    /// program once (recording the compile/certify spans on `sink`, and
+    /// self-certifying under the `validate` feature).
+    pub fn new(
+        spec: Specification,
+        arch: Architecture,
+        imp: Implementation,
+        sink: &mut dyn MetricsSink,
+    ) -> Result<Self, SimBuildError> {
+        let analytic = compute_srgs(&spec, &arch, &imp).map(|srgs| {
+            spec.communicator_ids().map(|c| Some(srgs.communicator(c).get())).collect()
+        });
+        let td = TimeDependentImplementation::from(imp);
+        let (calendar, program) =
+            Simulation::try_new_observed(&spec, &arch, &td, sink)?.shared_program();
+        Ok(CompiledSystem { spec, arch, td, calendar, program, analytic })
+    }
+
+    /// The specification.
+    #[must_use]
+    pub fn spec(&self) -> &Specification {
+        &self.spec
+    }
+
+    /// The architecture.
+    #[must_use]
+    pub fn arch(&self) -> &Architecture {
+        &self.arch
+    }
+
+    /// The per-communicator analytic SRGs, or why the analysis failed.
+    pub fn analytic(&self) -> Result<&[Option<f64>], &ReliabilityError> {
+        self.analytic.as_deref()
+    }
+
+    /// A simulation over the shared round program (no recompilation).
+    #[must_use]
+    pub fn simulation(&self) -> Simulation<'_> {
+        let (calendar, program) = (Arc::clone(&self.calendar), Arc::clone(&self.program));
+        Simulation::with_program(&self.spec, &self.td, calendar, program)
+    }
+
+    /// The default replication context: no task behaviors, a constant
+    /// `1.0` environment, and transient faults drawn from the
+    /// architecture's reliabilities.
+    #[must_use]
+    pub fn context(&self) -> ReplicationContext<'static> {
+        ReplicationContext {
+            behaviors: BehaviorMap::new(),
+            environment: Box::new(ConstantEnvironment::new(Value::Float(1.0))),
+            injector: Box::new(ProbabilisticFaults::from_architecture(&self.arch)),
+        }
+    }
+
+    /// The campaign-parameter check every campaign entry point runs.
+    pub fn check(&self, scenario: &Scenario, config: &CampaignConfig) -> Result<(), CampaignError> {
+        check_campaign(scenario, self.arch.host_count(), self.spec.communicator_count(), config)
+    }
+
+    /// Runs a campaign, comparing λ̂ against the analytic SRGs when the
+    /// analysis succeeded. With a `registry`, each replication records
+    /// into a registry with the same flight-recorder capacity, and
+    /// `registry` gets the campaign prelude plus those merged in
+    /// replication order.
+    pub fn run_campaign(
+        &self,
+        scenario: &Scenario,
+        config: &CampaignConfig,
+        registry: Option<&mut Registry>,
+    ) -> Result<ScenarioReport, CampaignError> {
+        let (sim, host_count) = (self.simulation(), self.arch.host_count());
+        let analytic = self.analytic().unwrap_or(&[]);
+        let setup = |_| self.context();
+        let Some(registry) = registry else {
+            return run_campaign(&sim, &self.spec, scenario, host_count, config, setup, analytic);
+        };
+        let capacity = registry.recorder().map_or(0, FlightRecorder::capacity);
+        let (report, sinks) = campaign_core(
+            &sim,
+            &self.spec,
+            scenario,
+            host_count,
+            config,
+            setup,
+            analytic,
+            |_| campaign_registry(capacity),
+        )?;
+        merge_campaign(registry, config, sinks);
+        Ok(report)
+    }
+
+    /// Runs one planned unit (see [`run_campaign_unit`]), each
+    /// replication recording into a [`campaign_registry`].
+    pub fn run_unit(
+        &self,
+        scenario: &Scenario,
+        config: &CampaignConfig,
+        recorder_capacity: usize,
+        unit: CampaignUnit,
+    ) -> Result<Vec<(RepStats, Registry)>, CampaignError> {
+        run_campaign_unit(
+            &self.simulation(),
+            &self.spec,
+            scenario,
+            self.arch.host_count(),
+            config,
+            |_| self.context(),
+            |_| campaign_registry(recorder_capacity),
+            unit,
+        )
+    }
+
+    /// Aggregates unit results (in replication order) into the report,
+    /// and the campaign prelude plus their registries into `registry`.
+    pub fn aggregate(
+        &self,
+        scenario: &Scenario,
+        config: &CampaignConfig,
+        per_rep: Vec<(RepStats, Registry)>,
+        registry: &mut Registry,
+    ) -> ScenarioReport {
+        let analytic = self.analytic().unwrap_or(&[]);
+        let host_count = self.arch.host_count();
+        let (report, sinks) =
+            aggregate_campaign(&self.spec, scenario, host_count, config, analytic, per_rep);
+        merge_campaign(registry, config, sinks);
+        report
+    }
+}
+
+impl ScenarioSymbols for CompiledSystem {
+    fn host(&self, name: &str) -> Option<HostId> {
+        self.arch.find_host(name)
+    }
+    fn communicator(&self, name: &str) -> Option<CommunicatorId> {
+        self.spec.find_communicator(name)
+    }
 }

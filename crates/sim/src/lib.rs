@@ -28,7 +28,9 @@
 //!   per-replication seeds, scoped worker threads, replication-order
 //!   merging (bit-identical results at any thread count);
 //! * [`campaign`] — scenario sweeps over the Monte-Carlo harness with
-//!   per-communicator reliability/availability/alarm reports;
+//!   per-communicator reliability/availability/alarm reports, and
+//!   [`CompiledSystem`], the one pipeline from an elaborated system to a
+//!   campaign registry that the CLI and the job service share;
 //! * [`trace`] — recorded traces, their reliability abstraction ρ and
 //!   limit averages;
 //! * [`emrun`] — cross-validation of the E-machine code generator against
@@ -64,9 +66,10 @@ pub mod voting;
 pub use behavior::{BehaviorMap, TaskBehavior};
 pub use bitslice::{BitslicedOutput, LaneContext, PackedTrace};
 pub use campaign::{
-    aggregate_campaign, plan_units, run_campaign, run_campaign_observed, run_campaign_unit,
-    CampaignConfig, CampaignError, CampaignUnit, CommunicatorReport, LaneMode, RepStats,
-    ScenarioReport,
+    aggregate_campaign, campaign_registry, plan_units, run_campaign, run_campaign_observed,
+    run_campaign_unit, run_scenario_replication, CampaignConfig, CampaignError, CampaignUnit,
+    CommunicatorReport, CompiledSystem, LaneMode, RepStats, ScenarioReport, DEFAULT_REPLICATIONS,
+    DEFAULT_ROUNDS, DEFAULT_SEED, FLIGHT_RING, MAX_REPLICATIONS,
 };
 pub use environment::{ConstantEnvironment, Environment};
 pub use fault::{

@@ -40,7 +40,7 @@ impl Default for BatchConfig {
         BatchConfig {
             replications: 32,
             rounds: 1000,
-            base_seed: 0xC0FFEE,
+            base_seed: crate::campaign::DEFAULT_SEED,
             threads: 0,
         }
     }

@@ -1,78 +1,11 @@
 //! `htlc` — the logrel command-line compiler and analysis driver.
 //!
-//! ```text
-//! htlc check <file>                  parse, elaborate, statically verify the
-//!                                    generated E-code and run the joint
-//!                                    schedulability/reliability analysis
-//! htlc verify <file>                 translation validation: certify the
-//!                                    compiled round program and the composed
-//!                                    per-host E-code against the
-//!                                    specification's denotational dataflow
-//! htlc lint [--deny] [--format json] <file>...
-//!                                    specification lints + E-code verification;
-//!                                    --format json emits the stable
-//!                                    `logrel-diagnostics-v1` document
-//! htlc certify [--deny] [--box D] [--format json] [--metrics PATH] <file>
-//!                                    sound reliability certification: outward-
-//!                                    rounded interval SRGs decide every LRC as
-//!                                    CERTIFIED / REFUTED / INDETERMINATE,
-//!                                    symbolic Birnbaum sensitivities rank the
-//!                                    bottleneck components and per-component
-//!                                    degradation margins are reported; --box D
-//!                                    additionally certifies over the
-//!                                    reliability box [r-D, r] per component;
-//!                                    --format json emits the stable
-//!                                    `logrel-certificate-v1` document
-//! htlc fmt <file>                    pretty-print the program
-//! htlc graph <file>                  emit the specification graph as DOT
-//! htlc ecode <file> <host>           disassemble one host's E-code
-//! htlc importance <file> <comm>      rank components by Birnbaum importance
-//! htlc simulate <file> [rounds [seed]]  fault-injected simulation summary
-//! htlc inject [--metrics PATH] [--lanes N|off|auto] [--seed N] <file> <scenario> [rounds [seed [reps]]]
-//!                                    scenario campaign with online LRC
-//!                                    monitoring (crash/rejoin, flaky
-//!                                    hosts, burst loss, stuck sensors,
-//!                                    common-cause groups, partitions,
-//!                                    wear-out, adaptive adversaries);
-//!                                    --metrics exports the aggregated
-//!                                    registry (Prometheus text at PATH,
-//!                                    JSON at PATH.json, `-` for stdout);
-//!                                    --lanes selects the bit-sliced
-//!                                    Monte-Carlo path (up to 64
-//!                                    replications per u64 word); --seed
-//!                                    overrides the positional seed, and
-//!                                    the effective seed is echoed in
-//!                                    stdout and as the
-//!                                    `logrel_campaign_seed` gauge
-//! htlc trace [--seed N] <file> <scenario> [rounds [seed]]
-//!                                    single-replication run with the
-//!                                    flight recorder attached: counter
-//!                                    summary plus every recorded dump
-//!                                    (alarm-triggered and final) with
-//!                                    names resolved
-//! htlc fuzz <file> [--iters N] [--seed S] [--corpus DIR]
-//!                                    coverage-guided scenario fuzzing:
-//!                                    mutates `.scn` timelines, keeps
-//!                                    candidates with novel coverage
-//!                                    signatures, hunts monitor misses
-//!                                    (µ-violations the LRC monitor never
-//!                                    alarmed on) and shrinks them to
-//!                                    minimal reproducers; --corpus
-//!                                    writes the corpus and reproducer
-//!                                    `.scn` files; fully deterministic
-//!                                    in --seed
-//! htlc refine <refining> <refined>   check the refinement relation (κ by
-//!                                    task name)
-//! htlc analyze <spec> [--against <db>] [--stats]
-//!                                    incremental joint analysis through the
-//!                                    content-hashed query engine: reuses
-//!                                    green entries of the `.logrel-cache`
-//!                                    database, attempts refinement reuse
-//!                                    (Proposition 2) for a dirty
-//!                                    schedulability query, and recomputes
-//!                                    only the dirtied cone — with output
-//!                                    byte-identical to a cold run
-//! ```
+//! `htlc help` is the command reference. The commands fall in three
+//! groups: the front end and its analyses (`check`, `verify`, `lint`,
+//! `certify`, `analyze`, `refine`, ...), the campaign drivers (`simulate`,
+//! `inject`, `trace`, `fuzz`), which are thin drivers over
+//! [`logrel::sim::CompiledSystem`], and the job service (`serve`), which
+//! runs the same campaign pipeline.
 //!
 //! `lint`, `check` and `verify` additionally accept `--incremental`,
 //! which caches the whole command report in the spec's `.logrel-cache`
@@ -94,6 +27,10 @@ use logrel::obs::MetricsSink as _;
 use logrel::query::Report;
 use logrel::refine::{check_refinement, validate, Kappa, SystemRef};
 use logrel::reliability::architecture_importance;
+use logrel::sim::{
+    campaign_registry, CompiledSystem, Scenario, DEFAULT_REPLICATIONS, DEFAULT_ROUNDS,
+    DEFAULT_SEED, FLIGHT_RING,
+};
 use std::process::ExitCode;
 
 /// A failed run: usage/I-O trouble (exit 1) or emitted diagnostics
@@ -162,21 +99,44 @@ fn analysis_failure(file: &str, code: &'static str, message: String) -> Failure 
     Failure::Diagnostics(1)
 }
 
-/// Flight-recorder ring capacity used by `inject --metrics` and `trace`:
-/// enough context to see the rounds leading up to a violation without
-/// unbounded growth.
-const FLIGHT_RING: usize = 256;
+/// Compiles `path` into the campaign pipeline, recording the
+/// compile/certify spans on `sink`.
+fn compile_system(
+    path: &str,
+    sink: &mut dyn logrel::obs::MetricsSink,
+) -> Result<CompiledSystem, Failure> {
+    let sys = compile_path(path)?;
+    CompiledSystem::new(sys.spec, sys.arch, sys.imp, sink)
+        .map_err(|e| analysis_failure(path, "A003", format!("{e}")))
+}
 
-/// Resolves scenario names against a compiled program.
-struct Symbols<'a>(&'a logrel::lang::ElaboratedSystem);
+/// Reads the scenario at `path`, resolving names against `compiled`.
+fn load_scenario(path: &str, compiled: &CompiledSystem) -> Result<Scenario, Failure> {
+    Scenario::parse_with(&read(path)?, compiled)
+        .map_err(|e| Failure::Usage(format!("{path}: {e}")))
+}
 
-impl logrel::sim::ScenarioSymbols for Symbols<'_> {
-    fn host(&self, name: &str) -> Option<logrel::core::HostId> {
-        self.0.arch.find_host(name)
-    }
-    fn communicator(&self, name: &str) -> Option<logrel::core::CommunicatorId> {
-        self.0.spec.find_communicator(name)
-    }
+/// The round count and seed of `[--seed N] <file> <scenario> [rounds
+/// [seed]]`, taking the flag out of `rest`. `--seed` overrides the
+/// positional seed; both forms stay accepted so existing invocations
+/// keep working.
+fn run_args(rest: &mut Vec<String>, default_rounds: u64) -> Result<(u64, u64), Failure> {
+    let seed_flag: Option<u64> = parse_opt(take_flag_value(rest, "--seed")?, "seed")?;
+    let rounds = parse_opt(rest.get(2), "round count")?.unwrap_or(default_rounds);
+    let seed = seed_flag.unwrap_or(parse_opt(rest.get(3), "seed")?.unwrap_or(DEFAULT_SEED));
+    Ok((rounds, seed))
+}
+
+/// Parses an optional argument; `what` names it in the error.
+fn parse_opt<T: std::str::FromStr>(
+    arg: Option<impl AsRef<str>>,
+    what: &str,
+) -> Result<Option<T>, Failure> {
+    arg.map(|s| {
+        let s = s.as_ref();
+        s.parse().map_err(|_| Failure::Usage(format!("bad {what} `{s}`")))
+    })
+    .transpose()
 }
 
 /// Removes a boolean `--flag` from `args`, returning whether it was
@@ -223,18 +183,37 @@ fn save_cache(path: &str, db: &logrel::query::QueryDb) {
 fn emit_report(report: &Report) -> Result<(), Failure> {
     print!("{}", report.stdout);
     eprint!("{}", report.stderr);
-    if report.errors > 0 {
-        Err(Failure::Diagnostics(report.errors))
+    exit_status(report.errors)
+}
+
+/// Exit 2 when `errors` diagnostics of error severity were emitted.
+fn exit_status(errors: usize) -> Result<(), Failure> {
+    if errors > 0 {
+        Err(Failure::Diagnostics(errors))
     } else {
         Ok(())
     }
 }
 
-/// Runs a whole-command report query through the incremental cache:
-/// loads the spec's `.logrel-cache` (fail-closed), replays a green
-/// report verbatim, otherwise computes cold and persists the refreshed
-/// database.
-fn run_cached(path: &str, source: &str, query: &str, compute: impl FnOnce() -> Report) -> Report {
+/// `diags` rendered one per line, for a report's stderr.
+fn rendered(path: &str, diags: &[Diagnostic]) -> String {
+    diags.iter().map(|d| format!("{}\n", d.render(path))).collect()
+}
+
+/// Runs a whole-command report query, through the incremental cache
+/// when `incremental`: loads the spec's `.logrel-cache` (fail-closed),
+/// replays a green report verbatim, otherwise computes cold and persists
+/// the refreshed database.
+fn run_cached(
+    incremental: bool,
+    path: &str,
+    source: &str,
+    query: &str,
+    compute: impl FnOnce() -> Report,
+) -> Report {
+    if !incremental {
+        return compute();
+    }
     let cache_path = logrel::query::default_cache_path(path);
     let mut registry = logrel::obs::Registry::new();
     let prior = load_cache(&mut registry, &cache_path);
@@ -276,10 +255,8 @@ fn check_report(path: &str, source: &str) -> Report {
     // trusting it to the analysis and the runtime.
     let ecode_diags = lint::verify_generated(&program, &sys);
     if !ecode_diags.is_empty() {
-        for d in &ecode_diags {
-            err.push_str(&format!("{}\n", d.render(path)));
-        }
-        return Report { errors: ecode_diags.len(), stdout: out, stderr: err };
+        let stderr = rendered(path, &ecode_diags);
+        return Report { errors: ecode_diags.len(), stdout: out, stderr };
     }
     out.push_str(&format!(
         "E-code: statically verified for all {} host(s)\n",
@@ -332,12 +309,7 @@ fn verify_report(path: &str, source: &str) -> Report {
             ));
             Report { errors: 0, stdout: out, stderr: err }
         }
-        Err(diags) => {
-            for d in &diags {
-                err.push_str(&format!("{}\n", d.render(path)));
-            }
-            Report { errors: diags.len(), stdout: out, stderr: err }
-        }
+        Err(diags) => Report { errors: diags.len(), stdout: out, stderr: rendered(path, &diags) },
     }
 }
 
@@ -355,11 +327,7 @@ fn lint_report(path: &str, source: &str, deny: bool, json: bool) -> Report {
         let stdout = lint::diagnostics_json(path, &diags);
         return Report { errors, stdout, stderr: String::new() };
     }
-    let mut err = String::new();
-    for d in &diags {
-        err.push_str(&format!("{}\n", d.render(path)));
-    }
-    Report { errors, stdout: String::new(), stderr: err }
+    Report { errors, stdout: String::new(), stderr: rendered(path, &diags) }
 }
 
 /// Certification counters carried out of [`certify_report`] for the
@@ -393,11 +361,7 @@ fn certify_report(
             let stdout = lint::diagnostics_json(path, &diags);
             Report { errors, stdout, stderr: String::new() }
         } else {
-            let mut err = String::new();
-            for d in &diags {
-                err.push_str(&format!("{}\n", d.render(path)));
-            }
-            Report { errors, stdout: String::new(), stderr: err }
+            Report { errors, stdout: String::new(), stderr: rendered(path, &diags) }
         }
     };
     let program = match parse(source) {
@@ -426,15 +390,8 @@ fn certify_report(
                 let stdout = lint::certificate_json(path, &sys.name, &cert, &diags);
                 Report { errors, stdout, stderr: String::new() }
             } else {
-                let mut err = String::new();
-                for d in &diags {
-                    err.push_str(&format!("{}\n", d.render(path)));
-                }
-                Report {
-                    errors,
-                    stdout: lint::render_certificate(&sys.name, &cert),
-                    stderr: err,
-                }
+                let stdout = lint::render_certificate(&sys.name, &cert);
+                Report { errors, stdout, stderr: rendered(path, &diags) }
             };
             (report, Some(counts))
         }
@@ -487,12 +444,12 @@ fn write_metrics(target: &str, registry: &logrel::obs::Registry) -> Result<(), F
 
 /// Renders one flight-recorder event, resolving the raw round-program
 /// indices the recorder stores back to specification names.
-fn render_event(e: &logrel::obs::ObsEvent, sys: &logrel::lang::ElaboratedSystem) -> String {
+fn render_event(e: &logrel::obs::ObsEvent, sys: &CompiledSystem) -> String {
     use logrel::obs::ObsEvent as E;
-    let task = |t: usize| sys.spec.task(logrel::core::TaskId::new(t as u32)).name();
-    let host = |h: usize| sys.arch.host(logrel::core::HostId::new(h as u32)).name();
+    let task = |t: usize| sys.spec().task(logrel::core::TaskId::new(t as u32)).name();
+    let host = |h: usize| sys.arch().host(logrel::core::HostId::new(h as u32)).name();
     let comm = |c: usize| {
-        sys.spec
+        sys.spec()
             .communicator(logrel::core::CommunicatorId::new(c as u32))
             .name()
     };
@@ -540,7 +497,7 @@ fn render_event(e: &logrel::obs::ObsEvent, sys: &logrel::lang::ElaboratedSystem)
 }
 
 /// Pretty-prints every retained flight-recorder dump with names resolved.
-fn format_dumps(registry: &logrel::obs::Registry, sys: &logrel::lang::ElaboratedSystem) -> String {
+fn format_dumps(registry: &logrel::obs::Registry, sys: &CompiledSystem) -> String {
     let Some(rec) = registry.recorder() else {
         return String::new();
     };
@@ -553,7 +510,7 @@ fn format_dumps(registry: &logrel::obs::Registry, sys: &logrel::lang::Elaborated
         let trigger = match &dump.trigger {
             logrel::obs::DumpTrigger::AlarmRaised { comm } => format!(
                 "alarm-raised on `{}`",
-                sys.spec
+                sys.spec()
                     .communicator(logrel::core::CommunicatorId::new(*comm as u32))
                     .name()
             ),
@@ -656,20 +613,14 @@ fn run(args: &[String]) -> Result<(), Failure> {
             let mut errors = 0usize;
             for path in &rest {
                 let source = read(path)?;
-                let report = if incremental {
-                    run_cached(path, &source, query, || lint_report(path, &source, deny, json))
-                } else {
+                let report = run_cached(incremental, path, &source, query, || {
                     lint_report(path, &source, deny, json)
-                };
+                });
                 print!("{}", report.stdout);
                 eprint!("{}", report.stderr);
                 errors += report.errors;
             }
-            if errors > 0 {
-                Err(Failure::Diagnostics(errors))
-            } else {
-                Ok(())
-            }
+            exit_status(errors)
         }
         "certify" => {
             let mut rest: Vec<String> = args[1..].to_vec();
@@ -696,17 +647,11 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 box_delta.map_or_else(|| "-".to_owned(), |d| d.to_string())
             );
             let counts_cell = std::cell::Cell::new(None::<CertCounts>);
-            let report = if incremental {
-                run_cached(path, &source, &query, || {
-                    let (report, counts) = certify_report(path, &source, deny, json, box_delta);
-                    counts_cell.set(counts);
-                    report
-                })
-            } else {
+            let report = run_cached(incremental, path, &source, &query, || {
                 let (report, counts) = certify_report(path, &source, deny, json, box_delta);
                 counts_cell.set(counts);
                 report
-            };
+            });
             if let Some(target) = &metrics {
                 // Counters reflect this process's own work: a warm
                 // incremental replay certified nothing, so only a cold
@@ -730,10 +675,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
                     println!();
                 }
                 write_metrics(target, &registry)?;
-                if report.errors > 0 {
-                    return Err(Failure::Diagnostics(report.errors));
-                }
-                return Ok(());
+                return exit_status(report.errors);
             }
             emit_report(&report)
         }
@@ -742,11 +684,9 @@ fn run(args: &[String]) -> Result<(), Failure> {
             let incremental = take_bool_flag(&mut rest, "--incremental");
             let path = rest.first().ok_or(usage)?;
             let source = read(path)?;
-            let report = if incremental {
-                run_cached(path, &source, "check_report", || check_report(path, &source))
-            } else {
+            let report = run_cached(incremental, path, &source, "check_report", || {
                 check_report(path, &source)
-            };
+            });
             emit_report(&report)
         }
         "verify" => {
@@ -754,11 +694,9 @@ fn run(args: &[String]) -> Result<(), Failure> {
             let incremental = take_bool_flag(&mut rest, "--incremental");
             let path = rest.first().ok_or(usage)?;
             let source = read(path)?;
-            let report = if incremental {
-                run_cached(path, &source, "verify_report", || verify_report(path, &source))
-            } else {
+            let report = run_cached(incremental, path, &source, "verify_report", || {
                 verify_report(path, &source)
-            };
+            });
             emit_report(&report)
         }
         "analyze" => {
@@ -783,11 +721,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
             if let Some(db) = &out.db {
                 save_cache(&cache_path, db);
             }
-            if out.errors > 0 {
-                Err(Failure::Diagnostics(out.errors))
-            } else {
-                Ok(())
-            }
+            exit_status(out.errors)
         }
         "check-file" => {
             // Multi-program file: validate the refinement roots fully, then
@@ -914,32 +848,21 @@ fn run(args: &[String]) -> Result<(), Failure> {
         }
         "simulate" => {
             let path = args.get(1).ok_or(usage)?;
-            let rounds: u64 = args
-                .get(2)
-                .map(|s| s.parse().map_err(|_| format!("bad round count `{s}`")))
-                .transpose()?
-                .unwrap_or(10_000);
-            let seed: u64 = args
-                .get(3)
-                .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
-                .transpose()?
-                .unwrap_or(0xC0FFEE);
-            let sys = compile_path(path)?;
-            let analytic = logrel::reliability::compute_srgs(&sys.spec, &sys.arch, &sys.imp)
-                .map_err(|e| Failure::Usage(e.to_string()))?;
-            let td = logrel::core::TimeDependentImplementation::from(sys.imp.clone());
-            let sim = logrel::sim::Simulation::try_new(&sys.spec, &sys.arch, &td)
-                .map_err(|e| analysis_failure(path, "A003", format!("{e}")))?;
-            let mut inj = logrel::sim::ProbabilisticFaults::from_architecture(&sys.arch);
-            let out = sim.run(
-                &mut logrel::sim::BehaviorMap::new(),
-                &mut logrel::sim::ConstantEnvironment::new(logrel::core::Value::Float(1.0)),
-                &mut inj,
+            let rounds: u64 = parse_opt(args.get(2), "round count")?.unwrap_or(10_000);
+            let seed: u64 = parse_opt(args.get(3), "seed")?.unwrap_or(DEFAULT_SEED);
+            let compiled = compile_system(path, &mut logrel::obs::NoopSink)?;
+            let analytic = compiled.analytic().map_err(|e| Failure::Usage(e.to_string()))?;
+            let mut ctx = compiled.context();
+            let out = compiled.simulation().run(
+                &mut ctx.behaviors,
+                &mut *ctx.environment,
+                &mut *ctx.injector,
                 &logrel::sim::SimConfig { rounds, seed },
             );
             println!("{rounds} rounds, seed {seed}\n");
             println!("{:<12} {:>12} {:>12}", "communicator", "empirical", "analytic");
-            for c in sys.spec.communicator_ids() {
+            let spec = compiled.spec();
+            for c in spec.communicator_ids() {
                 let bits: Vec<bool> = out.trace.abstraction(c).into_iter().skip(2).collect();
                 let mean = if bits.is_empty() {
                     0.0
@@ -948,9 +871,9 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 };
                 println!(
                     "{:<12} {:>12.6} {:>12.6}",
-                    sys.spec.communicator(c).name(),
+                    spec.communicator(c).name(),
                     mean,
-                    analytic.communicator(c).get()
+                    analytic[c.index()].unwrap_or(f64::NAN)
                 );
             }
             Ok(())
@@ -972,101 +895,23 @@ fn run(args: &[String]) -> Result<(), Failure> {
                     logrel::sim::LaneMode::Width(n)
                 }
             };
-            // `--seed N` overrides the positional seed; both forms stay
-            // accepted so existing invocations keep working.
-            let seed_flag: Option<u64> = take_flag_value(&mut rest, "--seed")?
-                .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
-                .transpose()?;
+            let (rounds, seed) = run_args(&mut rest, DEFAULT_ROUNDS)?;
             let path = rest.first().ok_or(usage)?;
             let scenario_path = rest.get(1).ok_or(usage)?;
-            let rounds: u64 = rest
-                .get(2)
-                .map(|s| s.parse().map_err(|_| format!("bad round count `{s}`")))
-                .transpose()?
-                .unwrap_or(4_000);
-            let seed: u64 = seed_flag.unwrap_or(
-                rest.get(3)
-                    .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
-                    .transpose()?
-                    .unwrap_or(0xC0FFEE),
-            );
-            let reps: u64 = rest
-                .get(4)
-                .map(|s| s.parse().map_err(|_| format!("bad replication count `{s}`")))
-                .transpose()?
-                .unwrap_or(8);
-            let sys = compile_path(path)?;
-
-            let scenario =
-                logrel::sim::Scenario::parse_with(&read(scenario_path)?, &Symbols(&sys))
-                    .map_err(|e| Failure::Usage(format!("{scenario_path}: {e}")))?;
-
-            let analytic = logrel::reliability::compute_srgs(&sys.spec, &sys.arch, &sys.imp)
-                .map_err(|e| Failure::Usage(e.to_string()))?;
-            let analytic: Vec<Option<f64>> = sys
-                .spec
-                .communicator_ids()
-                .map(|c| Some(analytic.communicator(c).get()))
-                .collect();
-            let td = logrel::core::TimeDependentImplementation::from(sys.imp.clone());
+            let reps: u64 =
+                parse_opt(rest.get(4), "replication count")?.unwrap_or(DEFAULT_REPLICATIONS);
             // The registry collects compile/certify spans even when
             // `--metrics` is absent; it is only exported when requested.
-            let mut registry = logrel::obs::Registry::with_recorder(FLIGHT_RING);
-            let sim =
-                logrel::sim::Simulation::try_new_observed(&sys.spec, &sys.arch, &td, &mut registry)
-                    .map_err(|e| analysis_failure(path, "A003", format!("{e}")))?;
-            let config = logrel::sim::CampaignConfig {
-                batch: logrel::sim::montecarlo::BatchConfig {
-                    replications: reps,
-                    rounds,
-                    base_seed: seed,
-                    threads: 0,
-                },
-                monitor: logrel::sim::MonitorConfig::default(),
-                lanes,
-            };
-            // Echo the execution path and the effective seed in the export
-            // so downstream tooling can tell bit-sliced runs from scalar
-            // ones and can replay the campaign exactly.
-            registry.set_gauge(logrel::obs::names::BITSLICE_LANES, lanes.width() as f64);
-            registry.set_gauge(logrel::obs::names::CAMPAIGN_SEED, seed as f64);
-            let setup = |_rep| logrel::sim::montecarlo::ReplicationContext {
-                behaviors: logrel::sim::BehaviorMap::new(),
-                environment: Box::new(logrel::sim::ConstantEnvironment::new(
-                    logrel::core::Value::Float(1.0),
-                )),
-                injector: Box::new(logrel::sim::ProbabilisticFaults::from_architecture(
-                    &sys.arch,
-                )),
-            };
-            let report = if metrics.is_some() {
-                let run_span = logrel::obs::Span::start();
-                let report = logrel::sim::run_campaign_observed(
-                    &sim,
-                    &sys.spec,
-                    &scenario,
-                    sys.arch.host_count(),
-                    &config,
-                    setup,
-                    &analytic,
-                    &mut registry,
-                    FLIGHT_RING,
-                )
+            let mut registry = campaign_registry(FLIGHT_RING);
+            let compiled = compile_system(path, &mut registry)?;
+            let scenario = load_scenario(scenario_path, &compiled)?;
+            compiled.analytic().map_err(|e| Failure::Usage(e.to_string()))?;
+            let config = logrel::sim::CampaignConfig::new(reps, rounds, seed, lanes);
+            let run_span = logrel::obs::Span::start();
+            let report = compiled
+                .run_campaign(&scenario, &config, metrics.is_some().then_some(&mut registry))
                 .map_err(|e| analysis_failure(path, "A004", e.to_string()))?;
-                run_span.finish(&mut registry, logrel::obs::names::RUN_SECONDS);
-                report
-            } else {
-                logrel::sim::run_campaign(
-                    &sim,
-                    &sys.spec,
-                    &scenario,
-                    sys.arch.host_count(),
-                    &config,
-                    setup,
-                    &analytic,
-                )
-                .map_err(|e| analysis_failure(path, "A004", e.to_string()))?
-            };
+            run_span.finish(&mut registry, logrel::obs::names::RUN_SECONDS);
 
             let lane_desc = match lanes.width() {
                 1 => "scalar".to_owned(),
@@ -1076,10 +921,11 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 "{reps} replication(s) x {rounds} rounds, seed {seed}, scenario `{scenario_path}`, {lane_desc}\n"
             );
             println!("host availability (scripted):");
-            for h in sys.arch.host_ids() {
+            let (spec, arch) = (compiled.spec(), compiled.arch());
+            for h in arch.host_ids() {
                 println!(
                     "  {:<16} {:>8.4}",
-                    sys.arch.host(h).name(),
+                    arch.host(h).name(),
                     report.host_availability[h.index()]
                 );
             }
@@ -1098,10 +944,9 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 "pre-alarm"
             );
             for r in &report.comms {
-                let c = r.comm;
                 println!(
                     "{:<14} {:>10.6} {:>10.6} {:>8.5} {:>7} {:>7} {:>12} {:>7} {:>5} {:>9}",
-                    sys.spec.communicator(c).name(),
+                    spec.communicator(r.comm).name(),
                     r.empirical,
                     r.analytic.unwrap_or(f64::NAN),
                     r.epsilon,
@@ -1128,66 +973,34 @@ fn run(args: &[String]) -> Result<(), Failure> {
         }
         "trace" => {
             let mut rest: Vec<String> = args[1..].to_vec();
-            let seed_flag: Option<u64> = take_flag_value(&mut rest, "--seed")?
-                .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
-                .transpose()?;
+            let (rounds, seed) = run_args(&mut rest, 2_000)?;
             let path = rest.first().ok_or(usage)?;
             let scenario_path = rest.get(1).ok_or(usage)?;
-            let rounds: u64 = rest
-                .get(2)
-                .map(|s| s.parse().map_err(|_| format!("bad round count `{s}`")))
-                .transpose()?
-                .unwrap_or(2_000);
-            let seed: u64 = seed_flag.unwrap_or(
-                rest.get(3)
-                    .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
-                    .transpose()?
-                    .unwrap_or(0xC0FFEE),
-            );
-            let sys = compile_path(path)?;
-            let scenario =
-                logrel::sim::Scenario::parse_with(&read(scenario_path)?, &Symbols(&sys))
-                    .map_err(|e| Failure::Usage(format!("{scenario_path}: {e}")))?;
-            let td = logrel::core::TimeDependentImplementation::from(sys.imp.clone());
-            let mut registry = logrel::obs::Registry::with_recorder(FLIGHT_RING);
-            registry.set_gauge(logrel::obs::names::CAMPAIGN_SEED, seed as f64);
-            let sim =
-                logrel::sim::Simulation::try_new_observed(&sys.spec, &sys.arch, &td, &mut registry)
-                    .map_err(|e| analysis_failure(path, "A003", format!("{e}")))?;
-            let mut injector = logrel::sim::ScenarioInjector::new(
-                logrel::sim::ProbabilisticFaults::from_architecture(&sys.arch),
-                &scenario,
-                sys.arch.host_count(),
-                sys.spec.communicator_count(),
-            )
-            .map_err(|e| Failure::Usage(format!("{scenario_path}: {e}")))?;
-            let mut environment = logrel::sim::ScenarioEnvironment::new(
-                logrel::sim::ConstantEnvironment::new(logrel::core::Value::Float(1.0)),
-                &scenario,
-                sys.spec.communicator_count(),
-            );
-            let mut monitor =
-                logrel::sim::LrcMonitor::new(&sys.spec, logrel::sim::MonitorConfig::default());
-            let mut behaviors = logrel::sim::BehaviorMap::new();
-            let config = logrel::sim::SimConfig { rounds, seed };
+            let mut registry = campaign_registry(FLIGHT_RING);
+            let compiled = compile_system(path, &mut registry)?;
+            let scenario = load_scenario(scenario_path, &compiled)?;
             let run_span = logrel::obs::Span::start();
-            // If the kernel panics, dump the flight recorder before the
-            // unwind escapes — the last recorded events are exactly the
-            // context the panic message lacks.
+            // One scalar replication on the raw seed (a campaign derives
+            // per-replication seeds). If the kernel panics, dump the
+            // flight recorder before the unwind escapes — the last
+            // recorded events are exactly the context the panic lacks.
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sim.run_observed(
-                    &mut behaviors,
-                    &mut environment,
-                    &mut injector,
-                    &mut monitor,
+                logrel::sim::run_scenario_replication(
+                    &compiled.simulation(),
+                    compiled.spec(),
+                    &scenario,
+                    compiled.arch().host_count(),
+                    logrel::sim::MonitorConfig::default(),
+                    compiled.context(),
                     &mut registry,
-                    &config,
+                    &logrel::sim::SimConfig { rounds, seed },
                 )
             }));
             match run {
-                Ok(_out) => {
+                Ok(Err(e)) => Err(Failure::Usage(format!("{scenario_path}: {e}"))),
+                Ok(Ok(_)) => {
                     run_span.finish(&mut registry, logrel::obs::names::RUN_SECONDS);
-                    let horizon = rounds * sys.spec.round_period().as_u64();
+                    let horizon = rounds * compiled.spec().round_period().as_u64();
                     if let Some(rec) = registry.recorder_mut() {
                         rec.dump_now(horizon);
                     }
@@ -1197,7 +1010,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
                         println!("  {name:<36} {v:>12}");
                     }
                     println!();
-                    print!("{}", format_dumps(&registry, &sys));
+                    print!("{}", format_dumps(&registry, &compiled));
                     Ok(())
                 }
                 Err(payload) => {
@@ -1208,40 +1021,25 @@ fn run(args: &[String]) -> Result<(), Failure> {
                     if let Some(rec) = registry.recorder_mut() {
                         rec.dump_on_panic(at);
                     }
-                    eprint!("{}", format_dumps(&registry, &sys));
+                    eprint!("{}", format_dumps(&registry, &compiled));
                     std::panic::resume_unwind(payload);
                 }
             }
         }
         "fuzz" => {
             let mut rest: Vec<String> = args[1..].to_vec();
-            let iters: u64 = take_flag_value(&mut rest, "--iters")?
-                .map(|s| s.parse().map_err(|_| format!("bad iteration count `{s}`")))
-                .transpose()?
-                .unwrap_or(200);
-            let seed: u64 = take_flag_value(&mut rest, "--seed")?
-                .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
-                .transpose()?
-                .unwrap_or(0xF022);
+            let iters = take_flag_value(&mut rest, "--iters")?;
+            let iters: u64 = parse_opt(iters, "iteration count")?.unwrap_or(200);
+            let seed: u64 =
+                parse_opt(take_flag_value(&mut rest, "--seed")?, "seed")?.unwrap_or(0xF022);
             let corpus_dir = take_flag_value(&mut rest, "--corpus")?;
             let path = rest.first().ok_or(usage)?;
-            let sys = compile_path(path)?;
-            let td = logrel::core::TimeDependentImplementation::from(sys.imp.clone());
-            let sim = logrel::sim::Simulation::try_new(&sys.spec, &sys.arch, &td)
-                .map_err(|e| analysis_failure(path, "A003", format!("{e}")))?;
+            let compiled = compile_system(path, &mut logrel::obs::NoopSink)?;
             // One short, fixed campaign evaluates every candidate — the
             // same base seed throughout, so a reproducer replays through
             // `htlc inject` with exactly the parameters echoed below.
-            let campaign = logrel::sim::CampaignConfig {
-                batch: logrel::sim::montecarlo::BatchConfig {
-                    replications: 4,
-                    rounds: 400,
-                    base_seed: 0xC0FFEE,
-                    threads: 0,
-                },
-                monitor: logrel::sim::MonitorConfig::default(),
-                lanes: logrel::sim::LaneMode::Auto,
-            };
+            let campaign =
+                logrel::sim::CampaignConfig::new(4, 400, DEFAULT_SEED, logrel::sim::LaneMode::Auto);
             let b = campaign.batch;
             let config = logrel::sim::FuzzConfig {
                 iters,
@@ -1256,23 +1054,14 @@ fn run(args: &[String]) -> Result<(), Failure> {
                 ],
                 ..Default::default()
             };
-            let setup = |_rep| logrel::sim::montecarlo::ReplicationContext {
-                behaviors: logrel::sim::BehaviorMap::new(),
-                environment: Box::new(logrel::sim::ConstantEnvironment::new(
-                    logrel::core::Value::Float(1.0),
-                )),
-                injector: Box::new(logrel::sim::ProbabilisticFaults::from_architecture(
-                    &sys.arch,
-                )),
-            };
             let mut registry = logrel::obs::Registry::new();
             let outcome = logrel::sim::run_fuzz(
-                &sim,
-                &sys.spec,
-                &logrel::sim::Scenario::default(),
-                sys.arch.host_count(),
+                &compiled.simulation(),
+                compiled.spec(),
+                &Scenario::default(),
+                compiled.arch().host_count(),
                 &config,
-                setup,
+                |_| compiled.context(),
                 &mut registry,
             )
             .map_err(|e| analysis_failure(path, "A004", e.to_string()))?;
@@ -1314,14 +1103,10 @@ fn run(args: &[String]) -> Result<(), Failure> {
             let mut rest: Vec<String> = args[1..].to_vec();
             let stdin_mode = take_bool_flag(&mut rest, "--stdin");
             let listen = take_flag_value(&mut rest, "--listen")?;
-            let workers: usize = take_flag_value(&mut rest, "--workers")?
-                .map(|s| s.parse().map_err(|_| format!("bad worker count `{s}`")))
-                .transpose()?
-                .unwrap_or(0);
-            let queue_capacity: usize = take_flag_value(&mut rest, "--queue")?
-                .map(|s| s.parse().map_err(|_| format!("bad queue capacity `{s}`")))
-                .transpose()?
-                .unwrap_or(16);
+            let workers: usize =
+                parse_opt(take_flag_value(&mut rest, "--workers")?, "worker count")?.unwrap_or(0);
+            let queue_capacity: usize =
+                parse_opt(take_flag_value(&mut rest, "--queue")?, "queue capacity")?.unwrap_or(16);
             let cache_path = take_flag_value(&mut rest, "--cache")?;
             if !rest.is_empty() {
                 return Err(Failure::Usage(format!("unexpected argument `{}`", rest[0])));
@@ -1337,8 +1122,8 @@ fn run(args: &[String]) -> Result<(), Failure> {
             let config = logrel::serve::ServeConfig {
                 workers,
                 queue_capacity,
-                recorder_capacity: FLIGHT_RING,
                 cache_path,
+                ..Default::default()
             };
             let engine = logrel::serve::Engine::new(config);
             if stdin_mode {

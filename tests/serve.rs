@@ -225,7 +225,87 @@ fn malformed_lines_are_rejected_without_killing_the_service() {
     assert_eq!(responses.len(), 1);
     assert!(responses[0].contains("\"code\":\"S004\""), "{}", responses[0]);
     assert!(responses[0].contains("replication"), "{}", responses[0]);
+    // A line nested deeper than the parser's stack can recurse is a
+    // malformed request, not a stack overflow.
+    let responses = logrel::serve::process_line(&engine, &"[".repeat(200_000));
+    assert_eq!(responses.len(), 1);
+    assert!(responses[0].contains("\"code\":\"S001\""), "{}", responses[0]);
+    // More replications than the campaign cap is rejected before any
+    // per-replication allocation.
+    let line = format!(
+        r#"{{"schema":"logrel-job-v1","id":"huge","spec_path":"{SPEC_PATH}","scenario_path":"{SCENARIO_PATH}","replications":18446744073709551615}}"#
+    );
+    let responses = logrel::serve::process_line(&engine, &line);
+    assert_eq!(responses.len(), 1);
+    assert!(responses[0].contains("\"code\":\"S004\""), "{}", responses[0]);
+    assert!(responses[0].contains("18446744073709551615"), "{}", responses[0]);
+    // The service still serves.
+    let line = format!(
+        r#"{{"schema":"logrel-job-v1","id":"after","spec_path":"{SPEC_PATH}","scenario_path":"{SCENARIO_PATH}","rounds":50,"replications":2,"seed":1}}"#
+    );
+    let responses = logrel::serve::process_line(&engine, &line);
+    assert_eq!(responses.len(), 2);
+    assert!(responses[1].contains("\"status\":\"done\""), "{}", responses[1]);
     engine.shutdown();
+}
+
+/// A parsed metrics document without its wall-clock `*_seconds` keys.
+fn without_seconds(doc: proto::Json) -> proto::Json {
+    match doc {
+        proto::Json::Obj(fields) => proto::Json::Obj(
+            fields
+                .into_iter()
+                .filter(|(key, _)| !key.ends_with("_seconds"))
+                .map(|(key, value)| (key, without_seconds(value)))
+                .collect(),
+        ),
+        proto::Json::Arr(items) => {
+            proto::Json::Arr(items.into_iter().map(without_seconds).collect())
+        }
+        other => other,
+    }
+}
+
+/// `htlc inject --metrics` and a served job export the same registry,
+/// up to the `*_seconds` span gauges only the CLI records. The partition
+/// scenario raises alarms, so the flight-recorder dumps are compared too.
+#[test]
+fn htlc_inject_metrics_equal_the_served_line() {
+    const PARTITION: &str = "examples/scenarios/partition.scn";
+    let dir = std::env::temp_dir().join(format!("logrel-serve-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let engine = engine(2, 4);
+    for (flag, lanes) in [(None, LaneMode::Auto), (Some("off"), LaneMode::Off)] {
+        let prom = dir.join(format!("m-{}.prom", flag.unwrap_or("auto")));
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_htlc"));
+        cmd.arg("inject").arg("--metrics").arg(&prom);
+        if let Some(flag) = flag {
+            cmd.args(["--lanes", flag]);
+        }
+        let status = cmd
+            .args([SPEC_PATH, PARTITION])
+            .args([3_000, SEED, REPS].map(|n| n.to_string()))
+            .stdout(std::process::Stdio::null())
+            .status()
+            .unwrap();
+        assert!(status.success(), "htlc inject failed: {status}");
+        let json = std::fs::read_to_string(prom.with_extension("prom.json")).unwrap();
+        let cli = without_seconds(proto::parse_json(&json).unwrap());
+        assert!(
+            matches!(cli.get("dumps"), Some(proto::Json::Arr(dumps)) if !dumps.is_empty()),
+            "the campaign must dump the flight recorder"
+        );
+        let served = Job {
+            scenario_source: std::fs::read_to_string(PARTITION).unwrap(),
+            rounds: 3_000,
+            lanes,
+            ..job()
+        };
+        let served = submit_ok(&engine, &served).metrics_line;
+        assert_eq!(cli, without_seconds(proto::parse_json(&served).unwrap()), "lanes {lanes:?}");
+    }
+    engine.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A fleet of services sharing one `.logrel-cache` path: concurrent
@@ -489,6 +569,88 @@ fn warm_jobs_over_tcp_return_without_a_delayed_ack_stall() {
     let mut piped = Vec::new();
     logrel::serve::respond(server.engine(), &line, &mut piped).unwrap();
     assert_eq!(String::from_utf8(piped).unwrap(), String::from_utf8(response).unwrap());
+    drop(writer);
+    server.shutdown();
+}
+
+/// A valid job line, the seed of the mutation arm below.
+const VALID_LINE: &str = r#"{"schema":"logrel-job-v1","id":"f","spec":"program p {}","scenario":"crash host=h at=1\n","rounds":10,"replications":2,"seed":3,"lanes":"off"}"#;
+
+/// `bytes` with each `(position, byte, op)` edit applied: op 0
+/// overwrites, 1 inserts, 2 deletes. Positions wrap around the length.
+fn mutate(mut bytes: Vec<u8>, edits: Vec<(usize, u8, u8)>) -> Vec<u8> {
+    for (at, byte, op) in edits {
+        let at = at % (bytes.len() + 1);
+        match op {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 => bytes.insert(at, byte),
+            _ if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => {}
+        }
+    }
+    bytes
+}
+
+/// `depth` opening brackets (arrays, objects, or both alternating),
+/// optionally followed by a value and the matching closers.
+fn nest(depth: usize, kind: u8, closed: bool) -> String {
+    let open = |i: usize| match (kind, i % 2) {
+        (0, _) | (2, 0) => "[",
+        _ => "{\"k\":",
+    };
+    let mut line: String = (0..depth).map(open).collect();
+    if closed {
+        line.push('1');
+        for i in (0..depth).rev() {
+            line.push(if open(i) == "[" { ']' } else { '}' });
+        }
+    }
+    line
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+    /// `parse_request` answers every line — random bytes, mutations of a
+    /// valid request, deep nests — with a request or a diagnosis, and
+    /// never panics or overflows the stack.
+    #[test]
+    fn parse_request_never_panics(
+        random in proptest::collection::vec(0u8..=255, 0..200),
+        edits in proptest::collection::vec((0usize..400, 0u8..=255, 0u8..3), 1..8),
+        (depth, kind, closed) in (1usize..100_000, 0u8..3, proptest::prelude::any::<bool>()),
+    ) {
+        let _ = proto::parse_request(&String::from_utf8_lossy(&random));
+        let mutated = mutate(VALID_LINE.as_bytes().to_vec(), edits);
+        let _ = proto::parse_request(&String::from_utf8_lossy(&mutated));
+        let deep = nest(depth, kind, closed);
+        proptest::prop_assert!(proto::parse_request(&deep).is_err());
+        let shallow = nest(depth % 3 + 1, kind, true);
+        proptest::prop_assert!(proto::parse_json(&shallow).is_ok(), "{}", shallow);
+    }
+}
+
+/// A request line that is not UTF-8 is a malformed request: the
+/// connection stays open and the next line is served.
+#[test]
+fn a_non_utf8_line_is_rejected_and_the_connection_survives() {
+    let server = Server::start(engine(1, 4), "127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    writer.write_all(b"\xff\xfe{\n").unwrap();
+    writer.write_all(b"{\"schema\":\"logrel-job-v1\",\"id\":\"s\",\"op\":\"stats\"}\n").unwrap();
+    let mut lines = Vec::new();
+    for _ in 0..3 {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        lines.push(line);
+    }
+    assert!(lines[0].contains("\"code\":\"S001\""), "{}", lines[0]);
+    assert!(lines[1].starts_with(r#"{"schema":"logrel-metrics-v1""#), "{}", lines[1]);
+    assert!(lines[2].contains("\"id\":\"s\"") && lines[2].contains("\"done\""), "{}", lines[2]);
     drop(writer);
     server.shutdown();
 }
